@@ -22,6 +22,7 @@
 //! The remote-memory / page-fault-accelerator case study of §VI is in
 //! [`paging`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

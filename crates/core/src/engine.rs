@@ -43,10 +43,13 @@
 //! input windows are recycled back to their link's spare pool
 //! ([`LinkReceiver::recycle`]), output windows are drawn from that pool
 //! ([`LinkSender::take_buffer`]), and the per-agent scratch vectors live in
-//! the agent's slot between rounds. Blocking operations use condvar-based
-//! waits (microsecond wakeups) rather than coarse timeout polling, and
-//! stop requests are honoured at deterministic chunk boundaries so that
-//! early termination cannot introduce nondeterminism.
+//! the agent's slot between rounds. Nor does it make a syscall on any link
+//! whose peer is not asleep: a link wakes its peer only when the peer has
+//! parked (see [`crate::channel`]), which on one thread is never. Blocking
+//! operations use condvar-based waits (microsecond wakeups) rather than
+//! coarse timeout polling, and stop requests are honoured at deterministic
+//! chunk boundaries so that early termination cannot introduce
+//! nondeterminism.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -945,7 +948,7 @@ impl<T: Send + 'static> Engine<T> {
     /// Connects `src`'s output port to a receiver *outside* this engine —
     /// the sending half of a cross-process link (§III-B2).
     ///
-    /// The channel's seed windows are drained and recycled at creation, so
+    /// The channel's seed windows are drained at creation, so
     /// this side contributes **zero** modeled latency (the receiving shard's
     /// [`Engine::connect_external_input`] link models all of it); what
     /// remains is a bounded host-side buffer of `latency / window + 1`
@@ -981,14 +984,9 @@ impl<T: Send + 'static> Engine<T> {
             *slot = Some(tx);
         }
         // Drain the seed windows: they model latency on the receiving shard,
-        // not here. Recycling them stocks the spare pool the producing
-        // agent's sends will draw from.
-        let seeded = (latency.as_u64() / self.window as u64) as usize;
-        for _ in 0..seeded {
-            let w = rx
-                .try_recv()?
-                .expect("freshly created link holds its seed windows");
-            rx.recycle(w);
+        // not here.
+        for _ in 0..rx.in_flight_windows() {
+            rx.recv()?;
         }
         let name = self.agents[src.0].agent.name().to_owned();
         Ok(BoundaryOutput {
@@ -1045,6 +1043,27 @@ impl<T: Send + 'static> Engine<T> {
             if slot.inputs.iter().any(Option::is_none) || slot.outputs.iter().any(Option::is_none) {
                 return Err(SimError::topology(format!(
                     "agent {} has unconnected ports",
+                    slot.agent.name()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// A restore replaces every input queue, so a window a faster peer
+    /// shard has already injected would be discarded and that link would
+    /// run one window short for good (the engine then dies at its next
+    /// boundary quiesce). Refuse instead: every shard must restore before
+    /// any shard runs.
+    fn check_boundaries_unfed(&self) -> SimResult<()> {
+        for &(a, p) in &self.boundary_inputs {
+            let slot = &self.agents[a];
+            let rx = slot.inputs[p].as_ref().expect("boundary input is wired");
+            let seeded = (rx.latency().as_u64() / self.window as u64) as usize;
+            if rx.in_flight_windows() > seeded {
+                return Err(SimError::checkpoint(format!(
+                    "boundary input port {p} of agent {} already holds a window from its \
+                     peer shard; restore every shard before any shard runs",
                     slot.agent.name()
                 )));
             }
@@ -1631,13 +1650,16 @@ impl<T: Send + 'static> Engine<T> {
     /// # Errors
     ///
     /// Returns [`SimError::Checkpoint`] when the checkpoint does not match
-    /// this engine's topology or an agent snapshot is malformed, and
+    /// this engine's topology, an agent snapshot is malformed, or a peer
+    /// shard has already fed one of this engine's boundary inputs (every
+    /// shard must restore before any shard runs), and
     /// [`SimError::Topology`] for unconnected ports.
     pub fn restore(&mut self, cp: &EngineCheckpoint<T>) -> SimResult<()>
     where
         T: Clone,
     {
         self.check_wired()?;
+        self.check_boundaries_unfed()?;
         if cp.window != self.window {
             return Err(SimError::checkpoint(format!(
                 "checkpoint window {} does not match engine window {}",
@@ -1715,13 +1737,16 @@ impl<T: Send + 'static> Engine<T> {
     ///
     /// Returns [`SimError::Checkpoint`] when the windows differ, an
     /// engine agent is missing from the checkpoint, an input-link count
-    /// disagrees, or an agent snapshot is malformed, and
-    /// [`SimError::Topology`] for unconnected ports.
+    /// disagrees, an agent snapshot is malformed, or a peer shard has
+    /// already fed one of this engine's boundary inputs (every shard must
+    /// restore before any shard runs), and [`SimError::Topology`] for
+    /// unconnected ports.
     pub fn restore_by_name(&mut self, cp: &EngineCheckpoint<T>) -> SimResult<()>
     where
         T: Clone,
     {
         self.check_wired()?;
+        self.check_boundaries_unfed()?;
         if cp.window != self.window {
             return Err(SimError::checkpoint(format!(
                 "checkpoint window {} does not match engine window {}",
@@ -1825,7 +1850,7 @@ impl<T: Send + 'static> BoundaryInput<T> {
         w: TokenWindow<T>,
         halt: &AtomicBool,
     ) -> SimResult<Option<TokenWindow<T>>> {
-        self.tx.send_or_halt(w, halt)
+        self.tx.send_or_halt(w, Some(halt))
     }
 }
 
@@ -1869,7 +1894,7 @@ impl<T: Send + 'static> BoundaryOutput<T> {
     /// Returns [`SimError::ChannelClosed`] when the producing engine has
     /// torn the link down.
     pub fn drain_or_halt(&self, halt: &AtomicBool) -> SimResult<Option<TokenWindow<T>>> {
-        self.rx.recv_or_halt(halt)
+        self.rx.recv_or_halt(Some(halt))
     }
 
     /// Returns a shipped window's buffer to the spare pool, keeping the
@@ -2259,15 +2284,11 @@ fn step_agent<T: Send + 'static>(
                 slot.agent.name()
             ))
         })?;
-        let w = match halt {
-            None => rx.recv().map_err(|_| closed_by_peer(slot.agent.name()))?,
-            Some(halt) => match rx.recv_or_halt(halt) {
-                Ok(Some(w)) => w,
-                // Halted while waiting, or the peer is gone.
-                Ok(None) | Err(_) => return Err(closed_by_peer(slot.agent.name())),
-            },
-        };
-        inputs.push(w);
+        match rx.recv_or_halt(halt) {
+            Ok(Some(w)) => inputs.push(w),
+            // Halted while waiting, or the peer is gone.
+            Ok(None) | Err(_) => return Err(closed_by_peer(slot.agent.name())),
+        }
     }
     let down_mask = match faults {
         Some(faults) => faults.mask_inputs(slot.agent.name(), &mut inputs, now.as_u64(), window),
@@ -2334,14 +2355,9 @@ fn step_agent<T: Send + 'static>(
             Some(tx) => tx,
             None => continue,
         };
-        match halt {
-            None => tx.send(w)?,
-            Some(halt) => {
-                if tx.send_or_halt(w, halt)?.is_some() {
-                    // Halted while the link was full.
-                    return Err(closed_by_peer(slot.agent.name()));
-                }
-            }
+        if tx.send_or_halt(w, halt)?.is_some() {
+            // Halted while the link was full.
+            return Err(closed_by_peer(slot.agent.name()));
         }
     }
     slot.scratch_out = outputs;
@@ -3327,6 +3343,92 @@ mod tests {
         engine.verify_token_invariant().unwrap();
         // Double connection is rejected like Engine::connect.
         assert!(engine.connect_external_input(a, 0, Cycle::new(16)).is_err());
+    }
+
+    /// Restoring after the peer shard has fed a boundary input would
+    /// silently discard the peer's window (ROADMAP item 1's lost window:
+    /// the run then ends in "did not quiesce: 0 of 1 windows in flight");
+    /// the engine refuses the restore instead.
+    #[test]
+    fn restore_refuses_a_boundary_input_its_peer_already_fed() {
+        let mut engine: Engine<u64> = Engine::new(8);
+        let a = engine.add_agent(Box::new(Pulser::new(16)));
+        let inp = engine.connect_external_input(a, 0, Cycle::new(8)).unwrap();
+        let _out = engine.connect_external_output(a, 0, Cycle::new(8)).unwrap();
+        let cp = engine.checkpoint().unwrap();
+        engine.restore_by_name(&cp).unwrap();
+
+        let halt = AtomicBool::new(false);
+        assert!(inp
+            .inject_or_halt(TokenWindow::new(8), &halt)
+            .unwrap()
+            .is_none());
+        for result in [engine.restore_by_name(&cp), engine.restore(&cp)] {
+            let err = result.unwrap_err();
+            assert!(matches!(err, SimError::Checkpoint { .. }), "{err}");
+            assert!(err.to_string().contains("restore every shard"), "{err}");
+        }
+        // Nothing was discarded: the seed and the peer's window are there.
+        assert_eq!(engine.link_occupancies()[0].in_flight_tokens, 16);
+    }
+
+    /// One input, one output, no work: every host cycle spent stepping it
+    /// is hand-off cost.
+    struct Idle;
+
+    impl SimAgent for Idle {
+        type Token = u64;
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn num_inputs(&self) -> usize {
+            1
+        }
+        fn num_outputs(&self) -> usize {
+            1
+        }
+        fn advance(&mut self, _ctx: &mut AgentCtx<u64>) {}
+    }
+
+    /// Runs a 64-agent ring of [`Idle`]s for 1 000 rounds and returns every
+    /// link's `(parks, wakes_issued)`.
+    fn idle_ring_wake_counts(threads: usize) -> Vec<(u64, u64)> {
+        let mut engine: Engine<u64> = Engine::new(8);
+        let ids: Vec<_> = (0..64).map(|_| engine.add_agent(Box::new(Idle))).collect();
+        for (i, &src) in ids.iter().enumerate() {
+            let dst = ids[(i + 1) % ids.len()];
+            engine.connect(src, 0, dst, 0, Cycle::new(8)).unwrap();
+        }
+        engine
+            .set_host_threads(threads)
+            .set_host_oversubscribe(true);
+        engine.run_for(Cycle::new(8 * 1000)).unwrap();
+        engine
+            .agents
+            .iter()
+            .flat_map(|slot| slot.inputs.iter().flatten())
+            .map(|rx| (rx.parks(), rx.wakes_issued()))
+            .collect()
+    }
+
+    /// The syscall-free claim as a count: on one thread no link's peer is
+    /// ever asleep, so no link ever issues a wake.
+    #[test]
+    fn one_thread_ring_issues_no_wakes() {
+        let counts = idle_ring_wake_counts(1);
+        assert_eq!(counts.len(), 64);
+        assert!(counts.iter().all(|&c| c == (0, 0)), "{counts:?}");
+    }
+
+    /// Across threads a wake is issued only to a waiter that parked, and at
+    /// most once per park.
+    #[test]
+    fn two_thread_ring_wakes_only_parked_waiters() {
+        let counts = idle_ring_wake_counts(2);
+        assert_eq!(counts.len(), 64);
+        for (link, &(parks, wakes)) in counts.iter().enumerate() {
+            assert!(wakes <= parks, "link {link}: {wakes} wakes, {parks} parks");
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@
 //! engine.run_for(Cycle::new(64)).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

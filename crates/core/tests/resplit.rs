@@ -147,14 +147,20 @@ fn run_groups(
     from: Option<Arc<EngineCheckpoint<u64>>>,
     cycles: u64,
 ) -> Vec<EngineCheckpoint<u64>> {
+    // Every shard restores before any shard runs (as `manager::partition`
+    // restores before it starts its pumps): a restore replaces the input
+    // queues, so it would discard a window a faster peer had already
+    // injected and leave that link one window short for good.
+    let mut engines = engines;
+    if let Some(cp) = from.as_deref() {
+        for e in &mut engines {
+            e.restore_by_name(cp).unwrap();
+        }
+    }
     let threads: Vec<_> = engines
         .into_iter()
         .map(|mut e| {
-            let from = from.clone();
             std::thread::spawn(move || {
-                if let Some(cp) = from.as_deref() {
-                    e.restore_by_name(cp).unwrap();
-                }
                 e.run_for(Cycle::new(cycles)).unwrap();
                 e.checkpoint().unwrap()
             })

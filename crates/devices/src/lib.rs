@@ -21,6 +21,7 @@
 //! memory-mapped accesses, and expose per-cycle `tick`-style methods so the
 //! blade can advance them in lock-step with the cores.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

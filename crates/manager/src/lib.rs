@@ -25,6 +25,7 @@
 //! assert_eq!(sim.servers().len(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -27,6 +27,7 @@
 //! Use [`Switch`] directly as a [`firesim_core::SimAgent`], or use
 //! higher-level topology construction in `firesim-manager`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

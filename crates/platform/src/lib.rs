@@ -18,6 +18,7 @@
 //! (§III-B2) — and are what `firesim-manager`'s partitioned runs are
 //! wired with.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -46,6 +46,7 @@
 //! assert_eq!(cpu.read_reg(10), 55);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

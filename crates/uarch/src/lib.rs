@@ -20,6 +20,7 @@
 //!   time, charging pipeline and memory cycles so the blade advances
 //!   cycle-by-cycle like the FAME-1-transformed RTL would.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
