@@ -8,9 +8,7 @@
 //! (an allocation-at-construction difference only; frame payloads are
 //! built once and shared thereafter).
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -46,26 +44,6 @@ impl Bytes {
         self.data.is_empty()
     }
 
-    /// Returns a new `Bytes` holding a copy of the given subrange.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Self {
-        use std::ops::Bound;
-        let start = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
-        };
-        let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
-        };
-        Bytes::copy_from_slice(&self.data[start..end])
-    }
-
     /// Copies the contents into a `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.to_vec()
@@ -79,51 +57,9 @@ impl Deref for Bytes {
     }
 }
 
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        &self.data
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes { data: Arc::from(v) }
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(s: &'static [u8]) -> Self {
-        Bytes::from_static(s)
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from_static(s.as_bytes())
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(s: String) -> Self {
-        Bytes::from(s.into_bytes())
-    }
-}
-
-impl From<Box<[u8]>> for Bytes {
-    fn from(b: Box<[u8]>) -> Self {
-        Bytes { data: Arc::from(b) }
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
     }
 }
 
@@ -134,48 +70,6 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self[..].cmp(&other[..])
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self[..].hash(state);
-    }
-}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self[..] == *other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self[..] == **other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl PartialEq<Bytes> for Vec<u8> {
-    fn eq(&self, other: &Bytes) -> bool {
-        self[..] == other[..]
-    }
-}
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -188,14 +82,6 @@ impl fmt::Debug for Bytes {
             }
         }
         write!(f, "\"")
-    }
-}
-
-impl<'a> IntoIterator for &'a Bytes {
-    type Item = &'a u8;
-    type IntoIter = std::slice::Iter<'a, u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.data.iter()
     }
 }
 
@@ -213,12 +99,5 @@ mod tests {
         let c = a.clone();
         assert_eq!(c, a);
         assert!(Bytes::new().is_empty());
-    }
-
-    #[test]
-    fn slicing() {
-        let a = Bytes::from_static(&[9, 8, 7, 6]);
-        assert_eq!(a.slice(1..3), Bytes::from(vec![8, 7]));
-        assert_eq!(a.slice(..), a);
     }
 }

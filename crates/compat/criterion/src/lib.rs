@@ -20,8 +20,6 @@ pub use std::hint::black_box;
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// Top-level benchmark driver.
@@ -55,13 +53,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the default number of timing samples per benchmark.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        assert!(n >= 2, "sample_size must be at least 2");
-        self.sample_size = n;
-        self
-    }
-
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -71,15 +62,6 @@ impl Criterion {
             sample_size: None,
         }
     }
-
-    /// Runs a standalone benchmark outside any group.
-    pub fn bench_function(&mut self, id: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        let id = id.into();
-        run_benchmark(self, &id, None, self.sample_size, f);
-    }
-
-    /// Criterion's post-run hook; a no-op here.
-    pub fn final_summary(&mut self) {}
 }
 
 /// A named group of benchmarks sharing throughput/sample settings.
@@ -219,14 +201,8 @@ fn run_benchmark(
         fmt_time(median),
         fmt_time(hi)
     );
-    match throughput {
-        Some(Throughput::Elements(n)) => {
-            print!("  thrpt: {} elem/s", fmt_rate(n as f64 / (median * 1e-9)));
-        }
-        Some(Throughput::Bytes(n)) => {
-            print!("  thrpt: {}B/s", fmt_rate(n as f64 / (median * 1e-9)));
-        }
-        None => {}
+    if let Some(Throughput::Elements(n)) = throughput {
+        print!("  thrpt: {} elem/s", fmt_rate(n as f64 / (median * 1e-9)));
     }
     println!();
 }

@@ -8,9 +8,7 @@
 //! does not exist).
 
 use std::fmt;
-use std::sync::TryLockError;
-
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{MutexGuard, TryLockError};
 
 /// A mutual-exclusion lock with parking_lot's panic-transparent API.
 #[derive(Default)]
@@ -21,11 +19,6 @@ impl<T> Mutex<T> {
     pub const fn new(t: T) -> Self {
         Mutex(std::sync::Mutex::new(t))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -34,67 +27,20 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
+        match self.0.try_lock() {
+            Ok(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
+            Err(TryLockError::Poisoned(e)) => f
+                .debug_struct("Mutex")
+                .field("data", &&*e.into_inner())
+                .finish(),
+            Err(TryLockError::WouldBlock) => {
+                f.debug_struct("Mutex").field("data", &"<locked>").finish()
+            }
         }
-    }
-}
-
-/// A reader-writer lock with parking_lot's panic-transparent API.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new lock protecting `t`.
-    pub const fn new(t: T) -> Self {
-        RwLock(std::sync::RwLock::new(t))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
     }
 }
 
@@ -107,14 +53,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
+        assert!(format!("{m:?}").contains('2'));
     }
 }

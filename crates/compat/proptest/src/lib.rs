@@ -84,19 +84,6 @@ pub trait Strategy {
         }
     }
 
-    /// Keeps only values satisfying `f`, retrying otherwise.
-    fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Type-erases the strategy (used by `prop_oneof!`).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -168,31 +155,6 @@ where
             }
         }
         panic!("prop_filter_map rejected too many values: {}", self.whence);
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-#[derive(Debug, Clone)]
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..10_000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter rejected too many values: {}", self.whence);
     }
 }
 
@@ -270,17 +232,6 @@ impl Arbitrary for bool {
     }
 }
 
-impl Arbitrary for char {
-    fn arbitrary(rng: &mut TestRng) -> char {
-        // Mostly ASCII, occasionally any scalar value.
-        if rng.below(4) > 0 {
-            (0x20 + rng.below(0x5f) as u32) as u8 as char
-        } else {
-            char::from_u32(rng.below(0x11_0000_u64) as u32).unwrap_or('\u{fffd}')
-        }
-    }
-}
-
 /// The `any::<T>()` strategy over the whole domain of `T`.
 #[derive(Debug)]
 pub struct Any<T>(std::marker::PhantomData<fn() -> T>);
@@ -325,7 +276,6 @@ tuple_strategy!(A / a, B / b);
 tuple_strategy!(A / a, B / b, C / c);
 tuple_strategy!(A / a, B / b, C / c, D / d);
 tuple_strategy!(A / a, B / b, C / c, D / d, E / e);
-tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f);
 
 // ---------------------------------------------------------------------
 // Collections and Option
@@ -338,27 +288,12 @@ pub struct SizeRange {
     hi: usize, // inclusive
 }
 
-impl From<usize> for SizeRange {
-    fn from(n: usize) -> Self {
-        SizeRange { lo: n, hi: n }
-    }
-}
-
 impl From<std::ops::Range<usize>> for SizeRange {
     fn from(r: std::ops::Range<usize>) -> Self {
         assert!(r.start < r.end, "empty size range");
         SizeRange {
             lo: r.start,
             hi: r.end - 1,
-        }
-    }
-}
-
-impl From<std::ops::RangeInclusive<usize>> for SizeRange {
-    fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-        SizeRange {
-            lo: *r.start(),
-            hi: *r.end(),
         }
     }
 }
@@ -511,7 +446,7 @@ impl fmt::Display for TestCaseError {
 
 /// The base seed: `PROPTEST_SEED` env var when set, a fixed default
 /// otherwise (runs are deterministic either way).
-pub fn base_seed() -> u64 {
+fn base_seed() -> u64 {
     match std::env::var("PROPTEST_SEED") {
         Ok(s) => s.parse().unwrap_or(0xF1E5_1105_EED5_EED5),
         Err(_) => 0xF1E5_1105_EED5_EED5,
@@ -539,8 +474,8 @@ pub fn run_cases(
 /// Everything the test files import.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Arbitrary,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Just,
+        ProptestConfig, Strategy, TestCaseError,
     };
 }
 

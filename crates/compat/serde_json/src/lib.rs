@@ -131,14 +131,6 @@ impl Value {
         }
     }
 
-    /// The value as `i64`, if an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(n) => n.as_i64(),
-            _ => None,
-        }
-    }
-
     /// The value as `bool`, if boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -296,17 +288,11 @@ macro_rules! from_scalar_ref {
         }
     )*};
 }
-from_scalar_ref!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool);
+from_scalar_ref!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64, bool);
 
 impl From<f64> for Value {
     fn from(v: f64) -> Value {
         Value::Number(Number::F(v))
-    }
-}
-
-impl From<f32> for Value {
-    fn from(v: f32) -> Value {
-        Value::Number(Number::F(f64::from(v)))
     }
 }
 
@@ -340,12 +326,6 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
-impl<T: Into<Value>> From<Option<T>> for Value {
-    fn from(v: Option<T>) -> Value {
-        v.map(Into::into).unwrap_or(Value::Null)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Comparisons against plain Rust values (assert_eq! ergonomics)
 // ---------------------------------------------------------------------
@@ -365,7 +345,7 @@ macro_rules! eq_num {
         }
     )*};
 }
-eq_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+eq_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
 
 impl Number {
     fn from_prim<T: Into<Value>>(v: T) -> Number {
@@ -373,24 +353,6 @@ impl Number {
             Value::Number(n) => n,
             _ => unreachable!("numeric primitive"),
         }
-    }
-}
-
-impl PartialEq<str> for Value {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == Some(other)
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == Some(*other)
-    }
-}
-
-impl PartialEq<bool> for Value {
-    fn eq(&self, other: &bool) -> bool {
-        self.as_bool() == Some(*other)
     }
 }
 
@@ -443,15 +405,22 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// How deeply arrays and objects may nest, as in the real `serde_json`:
+/// the parser recurses once per level, and inbound lines (the `simd`
+/// ingest feed) must not be able to overflow the stack.
+const RECURSION_LIMIT: usize = 128;
+
 /// Parses a complete JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed input or trailing characters.
+/// Returns [`Error`] on malformed input, trailing characters, or nesting
+/// deeper than 128 arrays/objects.
 pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -465,6 +434,7 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -509,11 +479,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -666,11 +646,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Pretty-prints any value convertible to [`Value`].
-pub fn to_string_pretty_value(v: &Value) -> String {
-    v.to_string_pretty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,5 +689,25 @@ mod tests {
         assert!(from_str("{").is_err());
         assert!(from_str("12 34").is_err());
         assert!(from_str("'single'").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_not_a_stack_overflow() {
+        // Run on a small stack: without the limit, 10 000 levels overflow
+        // it and abort the whole process.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                for open in ["[", r#"{"a":"#] {
+                    let err = from_str(&open.repeat(10_000)).unwrap_err();
+                    assert!(err.to_string().contains("recursion limit"), "{err}");
+                }
+                let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+                assert!(from_str(&deep(RECURSION_LIMIT)).is_ok());
+                assert!(from_str(&deep(RECURSION_LIMIT + 1)).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -3,8 +3,7 @@
 //! FireSim's value (paper §IV-C) is evaluating datacenter behaviour under
 //! conditions you cannot safely create in production. This module turns
 //! that into a first-class, *replayable* artifact: a [`Scenario`] is a
-//! seeded script — loadable from a TOML or JSON file — describing timed
-//! target-network events:
+//! seeded script describing timed target-network events:
 //!
 //! * **partitions and heals** — group agents into islands; every link
 //!   crossing an island boundary is masked for the event window;
@@ -24,6 +23,9 @@
 //! every referenced agent, port, and group and fails with a typed
 //! [`SimError::Scenario`] rather than silently injecting nothing.
 //!
+//! This module holds the script *model* only; `firesim_manager::scenario`
+//! parses the JSON script format into it.
+//!
 //! **Determinism.** Every compiled effect is a pure function of the
 //! absolute target cycle: link effects ride the existing
 //! [`FaultPlan`] masking machinery (seeded hash / duty
@@ -36,7 +38,6 @@
 //! produce identical digests.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 use crate::error::{SimError, SimResult};
 use crate::fault::FaultPlan;
@@ -135,8 +136,8 @@ impl EventKind {
 
 /// A declarative, seeded chaos-scenario script.
 ///
-/// Load one from disk with [`Scenario::load`] (TOML or JSON, sniffed), or
-/// build it programmatically, then [`Scenario::compile`] it against a
+/// Parse one from JSON with `firesim_manager::scenario::load`, or build
+/// it programmatically, then [`Scenario::compile`] it against a
 /// [`ScenarioTopo`] to validate it and obtain the applicable event
 /// timeline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -150,235 +151,6 @@ pub struct Scenario {
     pub interval: u64,
     /// The timed events.
     pub events: Vec<ScenarioEvent>,
-}
-
-impl Scenario {
-    /// Reads a scenario script from `path`. Content starting with `{` is
-    /// parsed as JSON, anything else as the TOML subset (see
-    /// [`Scenario::from_toml`]).
-    pub fn load(path: impl AsRef<Path>) -> SimResult<Scenario> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SimError::io(format!("reading scenario {}", path.display()), &e))?;
-        Scenario::parse(&text)
-    }
-
-    /// Parses a scenario from a string, sniffing the format: content whose
-    /// first non-whitespace byte is `{` is JSON, anything else TOML.
-    pub fn parse(text: &str) -> SimResult<Scenario> {
-        if text.trim_start().starts_with('{') {
-            Scenario::from_json(text)
-        } else {
-            Scenario::from_toml(text)
-        }
-    }
-
-    /// Parses the JSON form:
-    ///
-    /// ```json
-    /// { "name": "partition-heal", "seed": 7, "interval": 50000,
-    ///   "events": [
-    ///     { "kind": "partition", "from": 100000, "until": 300000,
-    ///       "islands": [["echo"]] } ] }
-    /// ```
-    pub fn from_json(text: &str) -> SimResult<Scenario> {
-        let val = json::parse(text)?;
-        Scenario::from_val(&val)
-    }
-
-    /// Parses the TOML-subset form: top-level `key = value` pairs followed
-    /// by `[[event]]` tables. Supported values are unsigned integers (with
-    /// `_` separators), double-quoted strings, booleans, and single-line
-    /// (possibly nested) arrays; `#` starts a comment.
-    ///
-    /// ```toml
-    /// name = "partition-heal"
-    /// seed = 7
-    /// interval = 50_000
-    ///
-    /// [[event]]
-    /// kind = "partition"
-    /// from = 100_000
-    /// until = 300_000
-    /// islands = [["echo"]]
-    /// ```
-    pub fn from_toml(text: &str) -> SimResult<Scenario> {
-        let val = toml::parse(text)?;
-        Scenario::from_val(&val)
-    }
-
-    fn from_val(val: &Val) -> SimResult<Scenario> {
-        let obj = val.as_obj("scenario")?;
-        for key in obj.keys() {
-            if !matches!(
-                key.as_str(),
-                "name" | "seed" | "interval" | "events" | "event"
-            ) {
-                return Err(SimError::scenario(format!(
-                    "unknown top-level scenario field `{key}`"
-                )));
-            }
-        }
-        let mut sc = Scenario {
-            name: match obj.get("name") {
-                Some(v) => v.as_str("name")?.to_owned(),
-                None => String::new(),
-            },
-            seed: get_u64_or(obj, "seed", 0)?,
-            interval: get_u64_or(obj, "interval", 0)?,
-            events: Vec::new(),
-        };
-        // TOML array-of-tables emit "event"; JSON uses "events".
-        let events = obj.get("events").or_else(|| obj.get("event"));
-        if let Some(events) = events {
-            for (i, ev) in events.as_arr("events")?.iter().enumerate() {
-                sc.events.push(parse_event(ev).map_err(|e| {
-                    SimError::scenario(format!("event #{}: {}", i + 1, detail_of(&e)))
-                })?);
-            }
-        }
-        Ok(sc)
-    }
-}
-
-fn detail_of(e: &SimError) -> String {
-    match e {
-        SimError::Scenario { detail } => detail.clone(),
-        other => other.to_string(),
-    }
-}
-
-fn get_u64_or(obj: &BTreeMap<String, Val>, key: &str, default: u64) -> SimResult<u64> {
-    match obj.get(key) {
-        Some(v) => v.as_u64(key),
-        None => Ok(default),
-    }
-}
-
-fn get_u64(obj: &BTreeMap<String, Val>, key: &str) -> SimResult<u64> {
-    obj.get(key)
-        .ok_or_else(|| SimError::scenario(format!("missing field `{key}`")))?
-        .as_u64(key)
-}
-
-fn get_str(obj: &BTreeMap<String, Val>, key: &str) -> SimResult<String> {
-    Ok(obj
-        .get(key)
-        .ok_or_else(|| SimError::scenario(format!("missing field `{key}`")))?
-        .as_str(key)?
-        .to_owned())
-}
-
-fn get_percent(obj: &BTreeMap<String, Val>, key: &str) -> SimResult<u8> {
-    let v = get_u64(obj, key)?;
-    u8::try_from(v)
-        .ok()
-        .filter(|p| *p <= 100)
-        .ok_or_else(|| SimError::scenario(format!("`{key}` must be 0-100, got {v}")))
-}
-
-fn parse_event(val: &Val) -> SimResult<ScenarioEvent> {
-    let obj = val.as_obj("event")?;
-    let kind_name = get_str(obj, "kind")?;
-    let allowed: &[&str] = match kind_name.as_str() {
-        "partition" => &["kind", "from", "until", "islands"],
-        "rack_down" => &["kind", "from", "until", "group", "switch"],
-        "link_down" => &["kind", "from", "until", "agent", "port"],
-        "link_flaky" => &["kind", "from", "until", "agent", "port", "drop_percent"],
-        "degrade" | "link_degrade" => &["kind", "from", "until", "agent", "port", "keep_percent"],
-        "switch_pressure" => &[
-            "kind",
-            "from",
-            "until",
-            "switch",
-            "buffer_bytes",
-            "max_release_delay",
-        ],
-        other => {
-            return Err(SimError::scenario(format!(
-                "unknown event kind `{other}` (expected partition, rack_down, link_down, \
-                 link_flaky, degrade, or switch_pressure)"
-            )))
-        }
-    };
-    for key in obj.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(SimError::scenario(format!(
-                "unknown field `{key}` on `{kind_name}` event"
-            )));
-        }
-    }
-    let from = get_u64(obj, "from")?;
-    let until = get_u64(obj, "until")?;
-    if from >= until {
-        return Err(SimError::scenario(format!(
-            "event window is empty: from={from} until={until}"
-        )));
-    }
-    let kind = match kind_name.as_str() {
-        "partition" => {
-            let islands_val = obj
-                .get("islands")
-                .ok_or_else(|| SimError::scenario("missing field `islands`"))?;
-            let mut islands = Vec::new();
-            for island in islands_val.as_arr("islands")? {
-                let members = island
-                    .as_arr("island")?
-                    .iter()
-                    .map(|m| m.as_str("island member").map(str::to_owned))
-                    .collect::<SimResult<Vec<String>>>()?;
-                if members.is_empty() {
-                    return Err(SimError::scenario("empty island in partition event"));
-                }
-                islands.push(members);
-            }
-            if islands.is_empty() {
-                return Err(SimError::scenario("partition event lists no islands"));
-            }
-            EventKind::Partition { islands }
-        }
-        "rack_down" => EventKind::RackDown {
-            // `switch` accepted as an alias: rack groups are labeled by
-            // their root switch.
-            group: get_str(obj, "group").or_else(|_| get_str(obj, "switch"))?,
-        },
-        "link_down" => EventKind::LinkDown {
-            agent: get_str(obj, "agent")?,
-            port: get_u64(obj, "port")? as usize,
-        },
-        "link_flaky" => EventKind::LinkFlaky {
-            agent: get_str(obj, "agent")?,
-            port: get_u64(obj, "port")? as usize,
-            drop_percent: get_percent(obj, "drop_percent")?,
-        },
-        "degrade" | "link_degrade" => EventKind::LinkDegrade {
-            agent: get_str(obj, "agent")?,
-            port: get_u64(obj, "port")? as usize,
-            keep_percent: get_percent(obj, "keep_percent")?,
-        },
-        "switch_pressure" => {
-            let buffer_bytes = match obj.get("buffer_bytes") {
-                Some(v) => Some(v.as_u64("buffer_bytes")? as usize),
-                None => None,
-            };
-            let max_release_delay = match obj.get("max_release_delay") {
-                Some(v) => Some(v.as_u64("max_release_delay")?),
-                None => None,
-            };
-            if buffer_bytes.is_none() && max_release_delay.is_none() {
-                return Err(SimError::scenario(
-                    "switch_pressure needs `buffer_bytes` and/or `max_release_delay`",
-                ));
-            }
-            EventKind::SwitchPressure {
-                switch: get_str(obj, "switch")?,
-                buffer_bytes,
-                max_release_delay,
-            }
-        }
-        _ => unreachable!("kind validated above"),
-    };
-    Ok(ScenarioEvent { from, until, kind })
 }
 
 // ---------------------------------------------------------------------------
@@ -776,434 +548,6 @@ impl CompiledScenario {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal value model + parsers (the workspace deliberately has no TOML
-// dependency, and core takes no serde dependency; scenario scripts need
-// only this subset)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    U64(u64),
-    Str(String),
-    Bool(bool),
-    Arr(Vec<Val>),
-    Obj(BTreeMap<String, Val>),
-}
-
-impl Val {
-    fn as_obj(&self, what: &str) -> SimResult<&BTreeMap<String, Val>> {
-        match self {
-            Val::Obj(o) => Ok(o),
-            other => Err(SimError::scenario(format!(
-                "`{what}` must be a table/object, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-    fn as_arr(&self, what: &str) -> SimResult<&[Val]> {
-        match self {
-            Val::Arr(a) => Ok(a),
-            other => Err(SimError::scenario(format!(
-                "`{what}` must be an array, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-    fn as_u64(&self, what: &str) -> SimResult<u64> {
-        match self {
-            Val::U64(v) => Ok(*v),
-            other => Err(SimError::scenario(format!(
-                "`{what}` must be an unsigned integer, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-    fn as_str(&self, what: &str) -> SimResult<&str> {
-        match self {
-            Val::Str(s) => Ok(s),
-            other => Err(SimError::scenario(format!(
-                "`{what}` must be a string, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-    fn type_name(&self) -> &'static str {
-        match self {
-            Val::U64(_) => "integer",
-            Val::Str(_) => "string",
-            Val::Bool(_) => "boolean",
-            Val::Arr(_) => "array",
-            Val::Obj(_) => "table",
-        }
-    }
-}
-
-mod json {
-    use super::Val;
-    use crate::error::{SimError, SimResult};
-    use std::collections::BTreeMap;
-
-    pub(super) fn parse(text: &str) -> SimResult<Val> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let val = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(err(pos, "trailing content after JSON value"));
-        }
-        Ok(val)
-    }
-
-    fn err(pos: usize, msg: &str) -> SimError {
-        SimError::scenario(format!("JSON parse error at byte {pos}: {msg}"))
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> SimResult<Val> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Val::Str(string(b, pos)?)),
-            Some(b't') => literal(b, pos, "true", Val::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Val::Bool(false)),
-            Some(c) if c.is_ascii_digit() => number(b, pos),
-            Some(_) => Err(err(
-                *pos,
-                "unexpected character (note: scenario values \
-                                       are unsigned integers, strings, booleans, \
-                                       arrays, and objects)",
-            )),
-            None => Err(err(*pos, "unexpected end of input")),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, lit: &str, val: Val) -> SimResult<Val> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(val)
-        } else {
-            Err(err(*pos, "invalid literal"))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> SimResult<Val> {
-        let start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if let Some(b'.' | b'e' | b'E') = b.get(*pos) {
-            return Err(err(start, "floating-point numbers are not supported"));
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(Val::U64)
-            .ok_or_else(|| err(start, "invalid integer"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> SimResult<String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err(err(*pos, "unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    let esc = b.get(*pos).ok_or_else(|| err(*pos, "bad escape"))?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        _ => return Err(err(*pos, "unsupported escape")),
-                    });
-                    *pos += 1;
-                }
-                Some(&c) => {
-                    // Multibyte UTF-8 passes through byte-by-byte; the
-                    // input is a &str so it is valid UTF-8 overall.
-                    let ch_len = utf8_len(c);
-                    let s = std::str::from_utf8(&b[*pos..*pos + ch_len])
-                        .map_err(|_| err(*pos, "invalid UTF-8"))?;
-                    out.push_str(s);
-                    *pos += ch_len;
-                }
-            }
-        }
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
-        }
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> SimResult<Val> {
-        *pos += 1; // [
-        let mut out = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Val::Arr(out));
-        }
-        loop {
-            out.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Val::Arr(out));
-                }
-                _ => return Err(err(*pos, "expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> SimResult<Val> {
-        *pos += 1; // {
-        let mut out = BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Val::Obj(out));
-        }
-        loop {
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b'"') {
-                return Err(err(*pos, "expected string key"));
-            }
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(err(*pos, "expected `:`"));
-            }
-            *pos += 1;
-            out.insert(key, value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Val::Obj(out));
-                }
-                _ => return Err(err(*pos, "expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-mod toml {
-    use super::Val;
-    use crate::error::{SimError, SimResult};
-    use std::collections::BTreeMap;
-
-    /// Parses the scenario TOML subset into a root object; `[[event]]`
-    /// tables collect into an `event` array.
-    pub(super) fn parse(text: &str) -> SimResult<Val> {
-        let mut root: BTreeMap<String, Val> = BTreeMap::new();
-        let mut events: Vec<BTreeMap<String, Val>> = Vec::new();
-        let mut in_event = false;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: &str| {
-                SimError::scenario(format!("TOML parse error on line {}: {msg}", lineno + 1))
-            };
-            if line == "[[event]]" {
-                events.push(BTreeMap::new());
-                in_event = true;
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(err(
-                    "only `[[event]]` tables are supported in scenario scripts",
-                ));
-            }
-            let Some(eq) = line.find('=') else {
-                return Err(err("expected `key = value`"));
-            };
-            let key = line[..eq].trim();
-            if key.is_empty()
-                || !key
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-            {
-                return Err(err("invalid key (bare keys only)"));
-            }
-            let value = parse_value(line[eq + 1..].trim()).map_err(|m| err(&m))?;
-            let table = if in_event {
-                events.last_mut().expect("in_event implies an open table")
-            } else {
-                &mut root
-            };
-            if table.insert(key.to_owned(), value).is_some() {
-                return Err(err(&format!("duplicate key `{key}`")));
-            }
-        }
-        if !events.is_empty() {
-            root.insert(
-                "event".to_owned(),
-                Val::Arr(events.into_iter().map(Val::Obj).collect()),
-            );
-        }
-        Ok(Val::Obj(root))
-    }
-
-    /// Strips a `#` comment, respecting double-quoted strings.
-    fn strip_comment(line: &str) -> &str {
-        let mut in_str = false;
-        let mut escaped = false;
-        for (i, c) in line.char_indices() {
-            match c {
-                '\\' if in_str && !escaped => {
-                    escaped = true;
-                    continue;
-                }
-                '"' if !escaped => in_str = !in_str,
-                '#' if !in_str => return &line[..i],
-                _ => {}
-            }
-            escaped = false;
-        }
-        line
-    }
-
-    fn parse_value(s: &str) -> Result<Val, String> {
-        let mut chars: Vec<char> = s.chars().collect();
-        let mut pos = 0usize;
-        let val = value(&mut chars, &mut pos)?;
-        skip_ws(&chars, &mut pos);
-        if pos != chars.len() {
-            return Err("trailing content after value".to_owned());
-        }
-        Ok(val)
-    }
-
-    fn skip_ws(c: &[char], pos: &mut usize) {
-        while *pos < c.len() && c[*pos].is_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn value(c: &mut Vec<char>, pos: &mut usize) -> Result<Val, String> {
-        skip_ws(c, pos);
-        match c.get(*pos) {
-            Some('"') => string(c, pos),
-            Some('[') => array(c, pos),
-            Some(ch) if ch.is_ascii_digit() => number(c, pos),
-            Some('t') | Some('f') => boolean(c, pos),
-            _ => Err("expected an integer, string, boolean, or array".to_owned()),
-        }
-    }
-
-    fn boolean(c: &[char], pos: &mut usize) -> Result<Val, String> {
-        let rest: String = c[*pos..].iter().collect();
-        if rest.starts_with("true") {
-            *pos += 4;
-            Ok(Val::Bool(true))
-        } else if rest.starts_with("false") {
-            *pos += 5;
-            Ok(Val::Bool(false))
-        } else {
-            Err("invalid literal".to_owned())
-        }
-    }
-
-    fn number(c: &[char], pos: &mut usize) -> Result<Val, String> {
-        let mut digits = String::new();
-        while let Some(&ch) = c.get(*pos) {
-            if ch.is_ascii_digit() {
-                digits.push(ch);
-            } else if ch != '_' {
-                break;
-            }
-            *pos += 1;
-        }
-        digits
-            .parse::<u64>()
-            .map(Val::U64)
-            .map_err(|_| "invalid integer".to_owned())
-    }
-
-    fn string(c: &[char], pos: &mut usize) -> Result<Val, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match c.get(*pos) {
-                None => return Err("unterminated string".to_owned()),
-                Some('"') => {
-                    *pos += 1;
-                    return Ok(Val::Str(out));
-                }
-                Some('\\') => {
-                    *pos += 1;
-                    match c.get(*pos) {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('n') => out.push('\n'),
-                        Some('t') => out.push('\t'),
-                        _ => return Err("unsupported escape".to_owned()),
-                    }
-                    *pos += 1;
-                }
-                Some(&ch) => {
-                    out.push(ch);
-                    *pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(c: &mut Vec<char>, pos: &mut usize) -> Result<Val, String> {
-        *pos += 1; // [
-        let mut out = Vec::new();
-        skip_ws(c, pos);
-        if c.get(*pos) == Some(&']') {
-            *pos += 1;
-            return Ok(Val::Arr(out));
-        }
-        loop {
-            out.push(value(c, pos)?);
-            skip_ws(c, pos);
-            match c.get(*pos) {
-                Some(',') => {
-                    *pos += 1;
-                    // Tolerate a trailing comma before `]`.
-                    skip_ws(c, pos);
-                    if c.get(*pos) == Some(&']') {
-                        *pos += 1;
-                        return Ok(Val::Arr(out));
-                    }
-                }
-                Some(']') => {
-                    *pos += 1;
-                    return Ok(Val::Arr(out));
-                }
-                _ => return Err("expected `,` or `]` in array".to_owned()),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1236,84 +580,25 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_parses_all_event_kinds() {
-        let text = r#"
-# a kitchen-sink scenario
-name = "kitchen-sink"
-seed = 42
-interval = 1_000
-
-[[event]]
-kind = "partition"
-from = 100
-until = 200
-islands = [["b0", "rack1"]]
-
-[[event]]
-kind = "rack_down"   # correlated failure
-group = "rack0"
-from = 300
-until = 400
-
-[[event]]
-kind = "link_flaky"
-agent = "a0"
-port = 0
-drop_percent = 30
-from = 10
-until = 20
-
-[[event]]
-kind = "degrade"
-agent = "b0"
-port = 0
-keep_percent = 40
-from = 10
-until = 20
-
-[[event]]
-kind = "switch_pressure"
-switch = "root"
-buffer_bytes = 4096
-max_release_delay = 64
-from = 50
-until = 150
-"#;
-        let sc = Scenario::from_toml(text).unwrap();
-        assert_eq!(sc.name, "kitchen-sink");
-        assert_eq!(sc.seed, 42);
-        assert_eq!(sc.interval, 1_000);
-        assert_eq!(sc.events.len(), 5);
-        assert!(matches!(sc.events[0].kind, EventKind::Partition { .. }));
-        assert!(matches!(
-            sc.events[4].kind,
-            EventKind::SwitchPressure { .. }
-        ));
+    fn switch_pressure_compiles_to_that_switch_only() {
+        let sc = Scenario {
+            events: vec![ScenarioEvent {
+                from: 50,
+                until: 150,
+                kind: EventKind::SwitchPressure {
+                    switch: "root".into(),
+                    buffer_bytes: Some(4096),
+                    max_release_delay: None,
+                },
+            }],
+            ..Scenario::default()
+        };
         let compiled = sc.compile(&two_racks()).unwrap();
         assert!(!compiled.is_noop());
-        assert_eq!(compiled.pressure_for("root").len(), 1);
-    }
-
-    #[test]
-    fn json_parses_equivalently() {
-        let toml = r#"
-seed = 7
-[[event]]
-kind = "link_down"
-agent = "a0"
-port = 0
-from = 5
-until = 9
-"#;
-        let json = r#"{"seed": 7, "events": [
-            {"kind": "link_down", "agent": "a0", "port": 0,
-             "from": 5, "until": 9}]}"#;
-        let a = Scenario::from_toml(toml).unwrap();
-        let b = Scenario::from_json(json).unwrap();
-        assert_eq!(a, b);
-        // Sniffing picks the right parser for both.
-        assert_eq!(Scenario::parse(toml).unwrap(), a);
-        assert_eq!(Scenario::parse(json).unwrap(), a);
+        assert!(compiled.link_effects().is_empty());
+        assert_eq!(compiled.pressured_switches(), ["root"]);
+        assert_eq!(compiled.pressure_for("root")[0].buffer_bytes, Some(4096));
+        assert!(compiled.pressure_for("rack0").is_empty());
     }
 
     #[test]
@@ -1417,29 +702,6 @@ until = 9
     }
 
     #[test]
-    fn parse_rejects_malformed_scripts() {
-        assert!(Scenario::from_toml("kind =").is_err());
-        assert!(Scenario::from_toml("[table]\nx = 1").is_err());
-        assert!(Scenario::from_toml("x = 1\nx = 2").is_err());
-        assert!(Scenario::from_json("{").is_err());
-        assert!(Scenario::from_json(r#"{"seed": 1.5}"#).is_err());
-        // Empty event window.
-        let err = Scenario::from_toml(
-            "[[event]]\nkind = \"link_down\"\nagent = \"a\"\nport = 0\nfrom = 5\nuntil = 5\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("window is empty"), "{err}");
-        // Unknown fields are typos, not extensions.
-        let err = Scenario::from_toml(
-            "[[event]]\nkind = \"link_down\"\nagent = \"a\"\nport = 0\nfrom = 1\nuntil = 2\npct = 3\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown field `pct`"), "{err}");
-        let err = Scenario::from_toml("sede = 1\n").unwrap_err();
-        assert!(err.to_string().contains("sede"), "{err}");
-    }
-
-    #[test]
     fn fault_plan_filters_to_local_agents() {
         let sc = Scenario {
             seed: 5,
@@ -1465,7 +727,11 @@ until = 9
 
     #[test]
     fn noop_scenario_compiles_to_inert_plan() {
-        let sc = Scenario::from_toml("name = \"noop\"\nseed = 1\n").unwrap();
+        let sc = Scenario {
+            name: "noop".into(),
+            seed: 1,
+            ..Scenario::default()
+        };
         let compiled = sc.compile(&two_racks()).unwrap();
         assert!(compiled.is_noop());
         assert!(!compiled.fault_plan(|_| true).has_effects());

@@ -3,7 +3,8 @@
 //! The simulation manager (§III-B3): a programmatic topology description
 //! (the Rust analogue of the paper's Fig 4 Python configuration),
 //! automatic MAC/IP assignment and switch-table population, mapping onto
-//! the host platform, and experiment result recording.
+//! the host platform, chaos-scenario scripts ([`scenario`]), and
+//! experiment result recording.
 //!
 //! ```
 //! use firesim_manager::{Topology, BladeSpec, SimConfig};
@@ -33,6 +34,7 @@ pub mod fleet;
 pub mod partition;
 pub mod report;
 pub mod results;
+pub mod scenario;
 pub mod simulation;
 pub mod stream;
 pub mod supervisor;

@@ -124,9 +124,9 @@ impl PartitionPlan {
     ///
     /// # Errors
     ///
-    /// Rejects zero workers, assignment vectors whose lengths do not
-    /// match the topology, out-of-range shard indices, empty shards, and
-    /// duplicate agent names.
+    /// Rejects zero workers, more workers than agents, assignment vectors
+    /// whose lengths do not match the topology, out-of-range shard
+    /// indices, empty shards, and duplicate agent names.
     pub fn from_assignment(
         topo: &Topology,
         workers: usize,
@@ -143,6 +143,15 @@ impl PartitionPlan {
                 switch_shard.len(),
                 topo.servers.len(),
                 topo.switches.len()
+            )));
+        }
+        // Every shard owns an agent, so this also bounds the allocation
+        // below by the topology size, not by the (possibly decoded) count.
+        let agents = server_shard.len() + switch_shard.len();
+        if workers > agents {
+            return Err(SimError::topology(format!(
+                "cannot split {agents} agent(s) across {workers} workers \
+                 (every shard must own at least one agent)"
             )));
         }
         Self::check_unique_names(topo)?;
@@ -572,7 +581,7 @@ fn worker_main(build: BuildFn, shard: usize, dir: &Path) -> SimResult<()> {
 
 /// Loads and compiles a scenario script against `topo`'s neutral view.
 fn load_scenario(path: &str, topo: &Topology) -> SimResult<firesim_core::CompiledScenario> {
-    firesim_core::Scenario::load(path)?.compile(&topo.scenario_topology())
+    crate::scenario::load(path)?.compile(&topo.scenario_topology())
 }
 
 /// Parses `"<shard>:<agent>@<cycle>"` and arms the fault on a match.
@@ -1295,6 +1304,7 @@ mod tests {
     use super::*;
     use crate::topology::BladeSpec;
     use firesim_blade::programs;
+    use proptest::prelude::*;
 
     fn racked_topology(racks: usize, per_rack: usize) -> Topology {
         let mut topo = Topology::new();
@@ -1392,6 +1402,34 @@ mod tests {
         assert!(PartitionPlan::from_assignment(&topo, 2, vec![0, 0], vec![0, 0, 1]).is_err());
         assert!(PartitionPlan::decode(&topo, "2;0,0,1,1").is_err());
         assert!(PartitionPlan::decode(&topo, "junk").is_err());
+
+        // A worker count beyond the agent count is rejected before it
+        // sizes anything: one shard per agent is the most there can be.
+        let one = racked_topology(1, 1); // n0x0; root, tor0
+        assert!(PartitionPlan::decode(&one, "3;0;1,2").is_ok());
+        for enc in ["4;0;1,2", "18446744073709551615;0;0,0"] {
+            let err = PartitionPlan::decode(&one, enc).unwrap_err();
+            assert!(err.to_string().contains("agent(s) across"), "{enc}: {err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `FIRESIM_PART_PLAN` is outside input: any string decodes to a
+        /// valid plan or a typed error, never a panic.
+        #[test]
+        fn decode_never_panics(pieces in proptest::collection::vec(prop_oneof![
+            Just("0"), Just("1"), Just("2"), Just("7"), Just(";"), Just(","), Just(""),
+            Just("-1"), Just("x"), Just("4294967296"), Just("18446744073709551615"),
+        ], 0..16)) {
+            let topo = racked_topology(2, 2);
+            let text = pieces.concat();
+            if let Ok(plan) = PartitionPlan::decode(&topo, &text) {
+                prop_assert!(plan.workers() <= 4 + 3, "{text:?}");
+                prop_assert_eq!(PartitionPlan::decode(&topo, &plan.encode()).unwrap(), plan);
+            }
+        }
     }
 
     #[test]

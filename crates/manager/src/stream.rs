@@ -958,6 +958,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_typed_error() {
+        // `simd` feeds every inbound TCP line through `parse` and counts
+        // failures as invalid; a hostile line must not blow the stack.
+        let line = format!("{{\"v\":1,\"t\":{}", "[".repeat(10_000));
+        let err = StreamRecord::parse(&line).unwrap_err();
+        assert!(
+            matches!(err, SimError::Protocol { .. }) && err.to_string().contains("recursion"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn normalize_zeroes_only_host_fields() {
         let mut recs = sample_records();
         for rec in &mut recs {

@@ -9,11 +9,11 @@
 //! ```text
 //! cargo run --release --example memcached_cluster
 //! cargo run --release --example memcached_cluster -- --partition-heal
-//! cargo run --release --example memcached_cluster -- --scenario my_chaos.toml
+//! cargo run --release --example memcached_cluster -- --scenario my_chaos.json
 //! ```
 //!
 //! `--partition-heal` runs the chaos experiment instead of the latency
-//! sweep: the committed `examples/scenarios/memcached_partition.toml`
+//! sweep: the committed `examples/scenarios/memcached_partition.json`
 //! script cuts three of the seven load generators off the rack inside
 //! [60M, 120M) cycles and heals them. The run prints the recovery curve
 //! the scenario's link watches recorded — offered load on the cut links
@@ -21,7 +21,8 @@
 //! sending; those frames count as `masked`) and returns to the pre-fault
 //! rate after the heal. The example fails if the post-heal bucket
 //! average is not within 5% of the pre-fault average. `--scenario PATH`
-//! runs the same experiment with your own script. Add `--stream-out
+//! runs the same experiment with your own JSON script (format in
+//! `examples/scenarios/README.md`). Add `--stream-out
 //! SPEC` to watch the dip-and-recover curve live on the NDJSON
 //! telemetry feed (DESIGN §17) with `firesim-top`.
 
@@ -32,13 +33,13 @@ use parking_lot::Mutex;
 use firesim_blade::model::OsConfig;
 use firesim_blade::services::{KvServer, KvServerConfig, Mutilate, MutilateConfig, MutilateStats};
 use firesim_core::stats::Histogram;
-use firesim_core::{Cycle, Frequency, Scenario};
+use firesim_core::{Cycle, Frequency};
 use firesim_manager::{BladeSpec, SimConfig, Topology};
 use firesim_net::MacAddr;
 
 /// The committed partition-and-heal script, compiled against this
 /// example's topology by `--partition-heal`.
-const PARTITION_SCRIPT: &str = include_str!("scenarios/memcached_partition.toml");
+const PARTITION_SCRIPT: &str = include_str!("scenarios/memcached_partition.json");
 
 /// With `--stream-out -` the NDJSON feed owns stdout, so the chaos
 /// run's human-readable lines move to stderr for piped consumers
@@ -144,8 +145,8 @@ usage: memcached_cluster [OPTIONS]
 
   (no options)             run the Fig 7 thread-imbalance latency sweep
   --partition-heal         run the partition-and-heal chaos experiment with
-                           the committed examples/scenarios/memcached_partition.toml
-  --scenario PATH          run the chaos experiment with your own script
+                           the committed examples/scenarios/memcached_partition.json
+  --scenario PATH          run the chaos experiment with your own JSON script
   --stream-out SPEC        stream the chaos run's live NDJSON telemetry
                            (DESIGN §17) to '-', a file, tcp:HOST:PORT, or
                            unix:PATH; the partition/heal annotations and
@@ -160,8 +161,11 @@ fn run_partition_heal(path: Option<&str>, stream_out: Option<&str>) -> ! {
     let horizon = 200_000_000u64;
     let qps = 350_000.0; // total across the seven generators
     let scenario = match path {
-        Some(p) => Scenario::load(p).unwrap_or_else(|e| die(&format!("--scenario {p}: {e}"))),
-        None => Scenario::parse(PARTITION_SCRIPT).expect("committed script parses"),
+        Some(p) => firesim_manager::scenario::load(p)
+            .unwrap_or_else(|e| die(&format!("--scenario {p}: {e}"))),
+        None => {
+            firesim_manager::scenario::parse(PARTITION_SCRIPT).expect("committed script parses")
+        }
     };
     // The experiment spans 200M cycles; give each generator enough
     // requests that its Poisson stream never runs dry.

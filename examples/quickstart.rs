@@ -39,8 +39,8 @@
 //! flaky:AGENT:PORT@FROM..UNTIL:PERCENT     input link drops PERCENT of windows
 //! ```
 //!
-//! `--scenario PATH` loads a declarative chaos script ([`firesim_core::Scenario`],
-//! TOML or JSON) and compiles it against this topology: timed partitions,
+//! `--scenario PATH` loads a declarative JSON chaos script
+//! ([`firesim_manager::scenario`]) and compiles it against this topology: timed partitions,
 //! per-link flakiness/degradation windows, and switch buffer-pressure
 //! events, all at deterministic cycle boundaries. Committed scripts live
 //! under `examples/scenarios/`; the run prints the recovery timeline the
@@ -213,7 +213,7 @@ fn parse_args() -> Options {
             "--scenario" => match args.next() {
                 Some(path) => opts.scenario = Some(path),
                 None => die(
-                    "--scenario needs a script path (e.g. examples/scenarios/partition_heal.toml)",
+                    "--scenario needs a script path (e.g. examples/scenarios/partition_heal.json)",
                 ),
             },
             "--metrics-out" => match args.next() {
@@ -252,7 +252,7 @@ usage: quickstart [OPTIONS]
   --checkpoint-every N     supervised run: snapshot every N target cycles
   --inject-fault SPEC      install a deterministic fault (repeatable);
                            e.g. panic:pinger@250000
-  --scenario PATH          load a chaos scenario script (TOML or JSON);
+  --scenario PATH          load a chaos scenario script (JSON);
                            see examples/scenarios/
   --metrics-out PATH       enable metrics; write the RunReport JSON to PATH
   --trace-out PATH         enable span tracing; write Chrome trace JSON to PATH
@@ -382,7 +382,7 @@ fn main() {
     // Compile the scenario against the topology's neutral view before
     // `build` consumes it; apply after build.
     let scenario = opts.scenario.as_ref().map(|path| {
-        firesim_core::Scenario::load(path)
+        firesim_manager::scenario::load(path)
             .and_then(|s| s.compile(&topo.scenario_topology()))
             .unwrap_or_else(|e| die(&format!("--scenario {path}: {e}")))
     });

@@ -110,33 +110,16 @@ const MID: u64 = 200_000;
 /// The kitchen-sink chaos script from the scenario suite, retargeted at
 /// the fleet-racks agents — the checkpoint at `MID` lands inside the
 /// partition window, so the repartitioned continuation must heal it.
-const SCRIPT: &str = r#"
-name = "fleet-mix"
-seed = 11
-interval = 50_000
-
-[[event]]
-kind = "partition"
-from = 100_000
-until = 250_000
-islands = [["echo"]]
-
-[[event]]
-kind = "link_flaky"
-from = 300_000
-until = 400_000
-agent = "rack0"
-port = 0
-drop_percent = 40
-
-[[event]]
-kind = "switch_pressure"
-from = 50_000
-until = 450_000
-switch = "root"
-buffer_bytes = 200
-max_release_delay = 32
-"#;
+const SCRIPT: &str = r#"{
+  "name": "fleet-mix", "seed": 11, "interval": 50000,
+  "events": [
+    { "kind": "partition", "from": 100000, "until": 250000, "islands": [["echo"]] },
+    { "kind": "link_flaky", "from": 300000, "until": 400000,
+      "agent": "rack0", "port": 0, "drop_percent": 40 },
+    { "kind": "switch_pressure", "from": 50000, "until": 450000,
+      "switch": "root", "buffer_bytes": 200, "max_release_delay": 32 }
+  ]
+}"#;
 
 /// A small fleet whose shape forces non-contiguous placement: blade-only
 /// hosts (two blades each) plus cheaper dedicated switch hosts, so every
@@ -197,7 +180,7 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 fn write_script(tag: &str) -> PathBuf {
-    let path = temp_path(&format!("{tag}.toml"));
+    let path = temp_path(&format!("{tag}.json"));
     std::fs::write(&path, SCRIPT).expect("write scenario script");
     path
 }

@@ -16,7 +16,8 @@
 //! must route them into their shard before any test logic runs.
 
 use firesim_blade::programs;
-use firesim_core::{Cycle, Scenario, SimError, SimResult};
+use firesim_core::{Cycle, SimError, SimResult};
+use firesim_manager::scenario::parse;
 use firesim_manager::{
     maybe_worker, run_partitioned, BladeSpec, PartitionConfig, SimConfig, Topology, TransportChoice,
 };
@@ -70,39 +71,22 @@ const CYCLES: u64 = 500_000;
 /// A kitchen-sink script: a partition that heals, a flaky window after
 /// the heal, and a buffer-pressure window on the core switch — one of
 /// each scenario mechanism, all landing inside the 500k-cycle run.
-const SCRIPT: &str = r#"
-name = "test-mix"
-seed = 11
-interval = 50_000
-
-[[event]]
-kind = "partition"
-from = 100_000
-until = 250_000
-islands = [["echo"]]
-
-[[event]]
-kind = "link_flaky"
-from = 300_000
-until = 400_000
-agent = "rack0"
-port = 0
-drop_percent = 40
-
-[[event]]
-kind = "switch_pressure"
-from = 50_000
-until = 450_000
-switch = "root"
-buffer_bytes = 200
-max_release_delay = 32
-"#;
+const SCRIPT: &str = r#"{
+  "name": "test-mix", "seed": 11, "interval": 50000,
+  "events": [
+    { "kind": "partition", "from": 100000, "until": 250000, "islands": [["echo"]] },
+    { "kind": "link_flaky", "from": 300000, "until": 400000,
+      "agent": "rack0", "port": 0, "drop_percent": 40 },
+    { "kind": "switch_pressure", "from": 50000, "until": 450000,
+      "switch": "root", "buffer_bytes": 200, "max_release_delay": 32 }
+  ]
+}"#;
 
 /// Writes `text` to a unique temp file and returns its absolute path
 /// (workers re-exec this binary and load the script by path).
 fn write_script(tag: &str, text: &str) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!(
-        "firesim-scenario-{}-{tag}.toml",
+        "firesim-scenario-{}-{tag}.json",
         std::process::id()
     ));
     std::fs::write(&path, text).expect("write scenario script");
@@ -168,7 +152,7 @@ fn scenario_is_partition_invariant() {
 /// scenario run's. Scenario effects are pure functions of the absolute
 /// target cycle, so the restored run heals at the scripted cycle too.
 fn checkpoint_mid_partition_resumes_scenario() {
-    let scenario = Scenario::parse(SCRIPT).expect("script parses");
+    let scenario = parse(SCRIPT).expect("script parses");
 
     // Uninterrupted scenario run.
     let (topo, config) = build_two_racks("two-racks").unwrap();
@@ -219,7 +203,7 @@ fn checkpoint_mid_partition_resumes_scenario() {
 /// A zero-event scenario installs nothing: digests match a straight run
 /// exactly, for both the monolithic and 2-way partitioned deployments.
 fn noop_scenario_is_invisible() {
-    let script = write_script("noop", "name = \"noop\"\n");
+    let script = write_script("noop", r#"{"name": "noop"}"#);
     let mut digests = Vec::new();
     for scenario in [None, Some(script.display().to_string())] {
         for workers in [1usize, 2] {
@@ -249,8 +233,8 @@ fn bad_targets_are_rejected_at_setup() {
     let (topo, _) = build_two_racks("two-racks").unwrap();
     let view = topo.scenario_topology();
 
-    let ghost = Scenario::parse(
-        "[[event]]\nkind = \"link_down\"\nfrom = 0\nuntil = 10\nagent = \"ghost\"\nport = 0\n",
+    let ghost = parse(
+        r#"{"events": [{"kind": "link_down", "from": 0, "until": 10, "agent": "ghost", "port": 0}]}"#,
     )
     .unwrap();
     let err = ghost.compile(&view).unwrap_err();
@@ -259,8 +243,9 @@ fn bad_targets_are_rejected_at_setup() {
         "unknown agent must fail typed: {err}"
     );
 
-    let bad_port = Scenario::parse(
-        "[[event]]\nkind = \"link_flaky\"\nfrom = 0\nuntil = 10\nagent = \"pinger\"\nport = 7\ndrop_percent = 10\n",
+    let bad_port = parse(
+        r#"{"events": [{"kind": "link_flaky", "from": 0, "until": 10,
+            "agent": "pinger", "port": 7, "drop_percent": 10}]}"#,
     )
     .unwrap();
     let err = bad_port.compile(&view).unwrap_err();
@@ -273,7 +258,7 @@ fn bad_targets_are_rejected_at_setup() {
     // any worker.
     let script = write_script(
         "bad",
-        "[[event]]\nkind = \"partition\"\nfrom = 0\nuntil = 10\nislands = [[\"ghost\"]]\n",
+        r#"{"events": [{"kind": "partition", "from": 0, "until": 10, "islands": [["ghost"]]}]}"#,
     );
     let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "two-racks".to_string());
     cfg.scenario = Some(script.display().to_string());
