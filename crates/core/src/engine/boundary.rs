@@ -4,7 +4,7 @@
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
-use super::{AgentId, Engine};
+use super::{attach, link_quiescent, AgentId, Engine};
 use crate::channel::{link, LinkReceiver, LinkSender};
 use crate::error::{SimError, SimResult};
 use crate::time::Cycle;
@@ -136,7 +136,10 @@ impl<T: Send + 'static> Engine<T> {
     /// [`Engine::set_boundary_quiesce_timeout`]) until each boundary input
     /// has been refilled to its seeded occupancy, so runs still end at the
     /// paper's quiescent boundary where a latency-*N* link holds exactly
-    /// *N* tokens — the property [`Engine::checkpoint`] relies on.
+    /// *N* tokens — the property [`Engine::checkpoint`] relies on. A peer
+    /// shard already into its next run may have sent more; that link is
+    /// quiescent too, for the wait and for
+    /// [`Engine::verify_token_invariant`] alike.
     ///
     /// # Errors
     ///
@@ -149,24 +152,13 @@ impl<T: Send + 'static> Engine<T> {
         latency: Cycle,
     ) -> SimResult<BoundaryInput<T>> {
         let (tx, rx) = link(self.window, latency)?;
-        let d = self
-            .agents
-            .get_mut(dst.0)
-            .ok_or_else(|| SimError::topology(format!("no agent {:?}", dst)))?;
-        let name = d.agent.name().to_owned();
-        let slot = d.inputs.get_mut(dst_port).ok_or_else(|| {
-            SimError::topology(format!("agent {name} has no input port {dst_port}"))
-        })?;
-        if slot.is_some() {
-            return Err(SimError::topology(format!(
-                "input port {dst_port} of agent {name} already connected"
-            )));
-        }
-        *slot = Some(rx);
+        let d = self.slot_mut(dst)?;
+        attach(&mut d.inputs, rx, d.agent.name(), "input", dst_port)?;
+        let agent = d.agent.name().to_owned();
         self.boundary_inputs.push((dst.0, dst_port));
         Ok(BoundaryInput {
             tx,
-            agent: name,
+            agent,
             port: dst_port,
         })
     }
@@ -193,31 +185,17 @@ impl<T: Send + 'static> Engine<T> {
         latency: Cycle,
     ) -> SimResult<BoundaryOutput<T>> {
         let (tx, rx) = link(self.window, latency)?;
-        {
-            let s = self
-                .agents
-                .get_mut(src.0)
-                .ok_or_else(|| SimError::topology(format!("no agent {:?}", src)))?;
-            let name = s.agent.name().to_owned();
-            let slot = s.outputs.get_mut(src_port).ok_or_else(|| {
-                SimError::topology(format!("agent {name} has no output port {src_port}"))
-            })?;
-            if slot.is_some() {
-                return Err(SimError::topology(format!(
-                    "output port {src_port} of agent {name} already connected"
-                )));
-            }
-            *slot = Some(tx);
-        }
+        let s = self.slot_mut(src)?;
+        attach(&mut s.outputs, tx, s.agent.name(), "output", src_port)?;
+        let agent = s.agent.name().to_owned();
         // Drain the seed windows: they model latency on the receiving shard,
         // not here.
         for _ in 0..rx.in_flight_windows() {
             rx.recv()?;
         }
-        let name = self.agents[src.0].agent.name().to_owned();
         Ok(BoundaryOutput {
             rx,
-            agent: name,
+            agent,
             port: src_port,
         })
     }
@@ -230,7 +208,7 @@ impl<T: Send + 'static> Engine<T> {
         self
     }
 
-    /// Blocks until every boundary input link holds exactly its seeded
+    /// Blocks until every boundary input link holds its seeded
     /// `latency / window` windows again — i.e. until the external pumps
     /// have delivered every window the peer shard produced for the rounds
     /// just run. No-op without boundary inputs.
@@ -245,7 +223,7 @@ impl<T: Send + 'static> Engine<T> {
             let want = (rx.latency().as_u64() / self.window as u64) as usize;
             loop {
                 let got = rx.in_flight_windows();
-                if got >= want {
+                if link_quiescent(got, want, true) {
                     break;
                 }
                 if Instant::now() >= deadline {

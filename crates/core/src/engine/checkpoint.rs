@@ -2,6 +2,7 @@
 //! boundary, merging shard checkpoints, the `FSCKPT01` byte format and the
 //! digests the bit-identity contract is checked with.
 
+use super::agent::AgentSlot;
 use super::Engine;
 use crate::channel::LinkReceiver;
 use crate::error::{SimError, SimResult};
@@ -30,12 +31,10 @@ impl<T: Send + 'static> Engine<T> {
         T: Clone,
     {
         self.check_wired()?;
-        let mut agent_names = Vec::with_capacity(self.agents.len());
-        let mut agent_state = Vec::with_capacity(self.agents.len());
-        let mut link_state = Vec::with_capacity(self.agents.len());
+        let mut agents = Vec::with_capacity(self.agents.len());
         for slot in &mut self.agents {
             let name = slot.agent.name().to_owned();
-            let links: Vec<Vec<TokenWindow<T>>> = slot
+            let links = slot
                 .inputs
                 .iter()
                 .map(|rx| {
@@ -44,25 +43,23 @@ impl<T: Send + 'static> Engine<T> {
                         .unwrap_or_default()
                 })
                 .collect();
+            let Some(cp) = slot.agent.as_checkpoint() else {
+                return Err(SimError::checkpoint(format!(
+                    "agent {name} does not implement Checkpoint"
+                )));
+            };
             let mut w = SnapshotWriter::new();
-            match slot.agent.as_checkpoint() {
-                Some(cp) => cp.save_state(&mut w)?,
-                None => {
-                    return Err(SimError::checkpoint(format!(
-                        "agent {name} does not implement Checkpoint"
-                    )))
-                }
-            }
-            agent_names.push(name);
-            agent_state.push(w.into_bytes());
-            link_state.push(links);
+            cp.save_state(&mut w)?;
+            agents.push(AgentEntry {
+                name,
+                state: w.into_bytes(),
+                links,
+            });
         }
         Ok(EngineCheckpoint {
             now: self.now,
             window: self.window,
-            agent_names,
-            agent_state,
-            link_state,
+            agents,
         })
     }
 
@@ -82,60 +79,25 @@ impl<T: Send + 'static> Engine<T> {
     where
         T: Clone,
     {
-        self.check_wired()?;
-        self.check_boundaries_unfed()?;
-        if cp.window != self.window {
-            return Err(SimError::checkpoint(format!(
-                "checkpoint window {} does not match engine window {}",
-                cp.window, self.window
-            )));
-        }
-        if cp.agent_names.len() != self.agents.len() {
+        self.check_restorable(cp)?;
+        if cp.agents.len() != self.agents.len() {
             return Err(SimError::checkpoint(format!(
                 "checkpoint has {} agents, engine has {}",
-                cp.agent_names.len(),
+                cp.agents.len(),
                 self.agents.len()
             )));
         }
-        for (slot, name) in self.agents.iter().zip(&cp.agent_names) {
-            if slot.agent.name() != name {
+        for (slot, entry) in self.agents.iter().zip(&cp.agents) {
+            if slot.agent.name() != entry.name {
                 return Err(SimError::checkpoint(format!(
-                    "checkpoint agent {name:?} does not match engine agent {:?}",
+                    "checkpoint agent {:?} does not match engine agent {:?}",
+                    entry.name,
                     slot.agent.name()
                 )));
             }
         }
-        for (i, slot) in self.agents.iter_mut().enumerate() {
-            if slot.inputs.len() != cp.link_state[i].len() {
-                return Err(SimError::checkpoint(format!(
-                    "checkpoint agent {} has {} input links, engine has {}",
-                    cp.agent_names[i],
-                    cp.link_state[i].len(),
-                    slot.inputs.len()
-                )));
-            }
-            let mut r = SnapshotReader::new(&cp.agent_state[i]);
-            match slot.agent.as_checkpoint() {
-                Some(c) => c.restore_state(&mut r)?,
-                None => {
-                    return Err(SimError::checkpoint(format!(
-                        "agent {} does not implement Checkpoint",
-                        cp.agent_names[i]
-                    )))
-                }
-            }
-            if r.remaining() != 0 {
-                return Err(SimError::checkpoint(format!(
-                    "agent {} snapshot has {} trailing bytes",
-                    cp.agent_names[i],
-                    r.remaining()
-                )));
-            }
-            for (rx, windows) in slot.inputs.iter().zip(&cp.link_state[i]) {
-                if let Some(rx) = rx.as_ref() {
-                    rx.replace_queue(windows.clone());
-                }
-            }
+        for (slot, entry) in self.agents.iter_mut().zip(&cp.agents) {
+            entry.restore(slot)?;
         }
         self.now = cp.now;
         Ok(())
@@ -169,6 +131,21 @@ impl<T: Send + 'static> Engine<T> {
     where
         T: Clone,
     {
+        self.check_restorable(cp)?;
+        for slot in &mut self.agents {
+            let name = slot.agent.name();
+            let entry = cp.agents.iter().find(|e| e.name == name).ok_or_else(|| {
+                SimError::checkpoint(format!("checkpoint has no agent named {name:?}"))
+            })?;
+            entry.restore(slot)?;
+        }
+        self.now = cp.now;
+        Ok(())
+    }
+
+    /// What both restores check first: the ports are wired, no peer shard
+    /// has fed a boundary input yet, and the windows agree.
+    fn check_restorable(&self, cp: &EngineCheckpoint<T>) -> SimResult<()> {
         self.check_wired()?;
         self.check_boundaries_unfed()?;
         if cp.window != self.window {
@@ -177,44 +154,6 @@ impl<T: Send + 'static> Engine<T> {
                 cp.window, self.window
             )));
         }
-        for slot in &mut self.agents {
-            let name = slot.agent.name().to_owned();
-            let i = cp
-                .agent_names
-                .iter()
-                .position(|n| *n == name)
-                .ok_or_else(|| {
-                    SimError::checkpoint(format!("checkpoint has no agent named {name:?}"))
-                })?;
-            if slot.inputs.len() != cp.link_state[i].len() {
-                return Err(SimError::checkpoint(format!(
-                    "checkpoint agent {name} has {} input links, engine has {}",
-                    cp.link_state[i].len(),
-                    slot.inputs.len()
-                )));
-            }
-            let mut r = SnapshotReader::new(&cp.agent_state[i]);
-            match slot.agent.as_checkpoint() {
-                Some(c) => c.restore_state(&mut r)?,
-                None => {
-                    return Err(SimError::checkpoint(format!(
-                        "agent {name} does not implement Checkpoint"
-                    )))
-                }
-            }
-            if r.remaining() != 0 {
-                return Err(SimError::checkpoint(format!(
-                    "agent {name} snapshot has {} trailing bytes",
-                    r.remaining()
-                )));
-            }
-            for (rx, windows) in slot.inputs.iter().zip(&cp.link_state[i]) {
-                if let Some(rx) = rx.as_ref() {
-                    rx.replace_queue(windows.clone());
-                }
-            }
-        }
-        self.now = cp.now;
         Ok(())
     }
 }
@@ -226,11 +165,60 @@ impl<T: Send + 'static> Engine<T> {
 pub struct EngineCheckpoint<T> {
     now: Cycle,
     window: u32,
-    agent_names: Vec<String>,
-    agent_state: Vec<Vec<u8>>,
-    /// `link_state[agent][port]` = that input link's queued windows,
-    /// oldest first.
-    link_state: Vec<Vec<Vec<TokenWindow<T>>>>,
+    agents: Vec<AgentEntry<T>>,
+}
+
+/// One agent's part of a checkpoint.
+struct AgentEntry<T> {
+    name: String,
+    /// What the agent's [`Checkpoint::save_state`](crate::Checkpoint)
+    /// wrote.
+    state: Vec<u8>,
+    /// Each input link's queued windows, oldest first.
+    links: Vec<Vec<TokenWindow<T>>>,
+}
+
+impl<T: Clone + Send + 'static> AgentEntry<T> {
+    /// Restores `slot`'s agent state and input queues from this entry.
+    fn restore(&self, slot: &mut AgentSlot<T>) -> SimResult<()> {
+        let name = &self.name;
+        if slot.inputs.len() != self.links.len() {
+            return Err(SimError::checkpoint(format!(
+                "checkpoint agent {name} has {} input links, engine has {}",
+                self.links.len(),
+                slot.inputs.len()
+            )));
+        }
+        let Some(c) = slot.agent.as_checkpoint() else {
+            return Err(SimError::checkpoint(format!(
+                "agent {name} does not implement Checkpoint"
+            )));
+        };
+        let mut r = SnapshotReader::new(&self.state);
+        c.restore_state(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(SimError::checkpoint(format!(
+                "agent {name} snapshot has {} trailing bytes",
+                r.remaining()
+            )));
+        }
+        for (rx, windows) in slot.inputs.iter().zip(&self.links) {
+            if let Some(rx) = rx.as_ref() {
+                rx.replace_queue(windows.clone());
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<T: Snapshot> AgentEntry<T> {
+    /// The entry's encoding: one agent's section of the file format, and
+    /// what its digest hashes.
+    fn save(&self, w: &mut SnapshotWriter) {
+        w.put_str(&self.name);
+        w.put_bytes(&self.state);
+        w.put(&self.links);
+    }
 }
 
 /// Magic + version prefix of the on-disk checkpoint encoding.
@@ -249,7 +237,7 @@ impl<T> EngineCheckpoint<T> {
 
     /// Names of the checkpointed agents, in registration order.
     pub fn agent_names(&self) -> impl Iterator<Item = &str> {
-        self.agent_names.iter().map(String::as_str)
+        self.agents.iter().map(|e| e.name.as_str())
     }
 
     /// Merges per-shard checkpoints of one partitioned run into a single
@@ -283,40 +271,18 @@ impl<T> EngineCheckpoint<T> {
                 )));
             }
         }
-        #[allow(clippy::type_complexity)]
-        let mut agents: Vec<(String, Vec<u8>, Vec<Vec<TokenWindow<T>>>)> = Vec::new();
-        for p in parts {
-            let mut state = p.agent_state.into_iter();
-            let mut links = p.link_state.into_iter();
-            for name in p.agent_names {
-                agents.push((
-                    name,
-                    state.next().expect("state per agent"),
-                    links.next().expect("links per agent"),
-                ));
-            }
-        }
-        agents.sort_by(|a, b| a.0.cmp(&b.0));
-        if let Some(w) = agents.windows(2).find(|w| w[0].0 == w[1].0) {
+        let mut agents: Vec<AgentEntry<T>> = parts.into_iter().flat_map(|p| p.agents).collect();
+        agents.sort_by(|a, b| a.name.cmp(&b.name));
+        if let Some(w) = agents.windows(2).find(|w| w[0].name == w[1].name) {
             return Err(SimError::checkpoint(format!(
                 "agent {:?} appears in more than one shard checkpoint",
-                w[0].0
+                w[0].name
             )));
-        }
-        let mut agent_names = Vec::with_capacity(agents.len());
-        let mut agent_state = Vec::with_capacity(agents.len());
-        let mut link_state = Vec::with_capacity(agents.len());
-        for (name, state, links) in agents {
-            agent_names.push(name);
-            agent_state.push(state);
-            link_state.push(links);
         }
         Ok(EngineCheckpoint {
             now,
             window,
-            agent_names,
-            agent_state,
-            link_state,
+            agents,
         })
     }
 }
@@ -328,11 +294,9 @@ impl<T: Snapshot> EngineCheckpoint<T> {
         w.put_bytes(CHECKPOINT_MAGIC);
         w.put_u32(self.window);
         w.put(&self.now);
-        w.put_usize(self.agent_names.len());
-        for i in 0..self.agent_names.len() {
-            w.put_str(&self.agent_names[i]);
-            w.put_bytes(&self.agent_state[i]);
-            w.put(&self.link_state[i]);
+        w.put_usize(self.agents.len());
+        for entry in &self.agents {
+            entry.save(&mut w);
         }
         w.into_bytes()
     }
@@ -354,13 +318,13 @@ impl<T: Snapshot> EngineCheckpoint<T> {
         let window = r.get_u32()?;
         let now = r.get()?;
         let n = r.get_usize()?;
-        let mut agent_names = Vec::with_capacity(n.min(1 << 16));
-        let mut agent_state = Vec::with_capacity(n.min(1 << 16));
-        let mut link_state = Vec::with_capacity(n.min(1 << 16));
+        let mut agents = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            agent_names.push(r.get_str()?);
-            agent_state.push(r.get_bytes()?.to_vec());
-            link_state.push(r.get()?);
+            agents.push(AgentEntry {
+                name: r.get_str()?,
+                state: r.get_bytes()?.to_vec(),
+                links: r.get()?,
+            });
         }
         if r.remaining() != 0 {
             return Err(SimError::checkpoint(format!(
@@ -371,9 +335,7 @@ impl<T: Snapshot> EngineCheckpoint<T> {
         Ok(EngineCheckpoint {
             now,
             window,
-            agent_names,
-            agent_state,
-            link_state,
+            agents,
         })
     }
 
@@ -389,13 +351,12 @@ impl<T: Snapshot> EngineCheckpoint<T> {
     /// partitioning invariant, made checkable. Combine with
     /// [`combined_digest`].
     pub fn agent_digests(&self) -> Vec<(String, u64)> {
-        (0..self.agent_names.len())
-            .map(|i| {
+        self.agents
+            .iter()
+            .map(|entry| {
                 let mut w = SnapshotWriter::new();
-                w.put_str(&self.agent_names[i]);
-                w.put_bytes(&self.agent_state[i]);
-                w.put(&self.link_state[i]);
-                (self.agent_names[i].clone(), fnv1a64(&w.into_bytes()))
+                entry.save(&mut w);
+                (entry.name.clone(), fnv1a64(&w.into_bytes()))
             })
             .collect()
     }
@@ -460,7 +421,33 @@ impl<T> std::fmt::Debug for EngineCheckpoint<T> {
         f.debug_struct("EngineCheckpoint")
             .field("now", &self.now)
             .field("window", &self.window)
-            .field("agents", &self.agent_names)
+            .field("agents", &self.agent_names().collect::<Vec<_>>())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A restore file is foreign bytes: a token window in it that covers
+    /// zero cycles is a typed error, not a panic in `TokenWindow::new`.
+    #[test]
+    fn zero_length_window_in_checkpoint_bytes_is_an_error() {
+        let mut w = SnapshotWriter::new();
+        w.put_bytes(CHECKPOINT_MAGIC);
+        w.put_u32(8);
+        w.put(&Cycle::ZERO);
+        w.put_usize(1);
+        w.put_str("blade0");
+        w.put_bytes(&[]);
+        // One input link holding one empty window of length zero.
+        w.put_usize(1);
+        w.put_usize(1);
+        w.put_u32(0);
+        w.put_usize(0);
+        let err = EngineCheckpoint::<u64>::from_bytes(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, SimError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("zero cycles"), "{err}");
     }
 }

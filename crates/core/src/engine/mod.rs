@@ -20,9 +20,11 @@
 //! ## Host parallelism and scheduling
 //!
 //! With [`Engine::set_host_threads`], agents are partitioned across host
-//! worker threads. Workers do not run in lockstep — a worker only blocks
-//! when a channel it needs is still empty — mirroring how FireSim decouples
-//! host nodes and lets the token flow control enforce ordering.
+//! worker threads; every worker count, one included, runs the same loop,
+//! and worker 0 is the calling thread. Workers do not run in lockstep — a
+//! worker only blocks when a channel it needs is still empty — mirroring
+//! how FireSim decouples host nodes and lets the token flow control enforce
+//! ordering.
 //!
 //! Workers are never oversubscribed: requests for more threads than the
 //! host has cores are clamped (see [`Engine::set_host_threads`]), because
@@ -47,11 +49,10 @@
 //! per-agent scratch vectors live in the agent's slot between rounds. Nor
 //! does it make a syscall on any link whose peer is not asleep: a link
 //! wakes its peer only when the peer has parked (see [`crate::channel`]),
-//! which on one thread is never. Blocking
-//! operations use condvar-based waits (microsecond wakeups) rather than
-//! coarse timeout polling, and stop requests are honoured at deterministic
-//! chunk boundaries so that early termination cannot introduce
-//! nondeterminism.
+//! which on one thread is never. Blocking operations use condvar-based
+//! waits (microsecond wakeups) rather than coarse timeout polling, and stop
+//! requests are honoured at deterministic chunk boundaries so that early
+//! termination cannot introduce nondeterminism.
 //!
 //! ## Layout
 //!
@@ -108,7 +109,8 @@ pub struct LinkOccupancy {
     /// Modeled link latency in cycles.
     pub latency: u64,
     /// Tokens currently in flight (`queued windows × window length`). At a
-    /// quiescent boundary this equals `latency`.
+    /// quiescent boundary this equals `latency` (a boundary input may hold
+    /// more: its peer shard can already be into its next run).
     pub in_flight_tokens: u64,
 }
 
@@ -254,10 +256,10 @@ impl<T: Send + 'static> Engine<T> {
     /// Enables metrics collection and per-agent profiling for subsequent
     /// runs, returning the engine's registry (creating it on first call).
     ///
-    /// Workers record into private [`MetricsShard`](crate::MetricsShard)s and fold them into the
-    /// registry at chunk barriers, so the hot path stays contention-free;
-    /// when metrics have never been enabled the engine holds no registry
-    /// and pays nothing at all.
+    /// Workers record into private [`MetricsShard`](crate::MetricsShard)s
+    /// and fold them into the registry at chunk boundaries, so the hot path
+    /// stays contention-free; when metrics have never been enabled the
+    /// engine holds no registry and pays nothing at all.
     pub fn enable_metrics(&mut self) -> Arc<MetricsRegistry> {
         if self.metrics.is_none() {
             self.metrics = Some(Arc::new(MetricsRegistry::new()));
@@ -328,17 +330,12 @@ impl<T: Send + 'static> Engine<T> {
     /// runs — mid-run the profiles are owned by the workers. All zeros
     /// until [`Engine::enable_metrics`] is called.
     pub fn sample_interval(&self, probe: &mut IntervalProbe) -> IntervalSnapshot {
-        let profiles = self.agent_profiles();
-        let counters: Vec<Vec<(String, u64)>> = self
-            .agents
-            .iter()
-            .map(|s| {
-                let mut counters = Vec::new();
-                s.agent.app_counters(&mut counters);
-                counters
-            })
+        let counters: Vec<_> = self
+            .agent_app_counters()
+            .into_iter()
+            .map(|(_, c)| c)
             .collect();
-        probe.sample(self.now.as_u64(), &profiles, &counters)
+        probe.sample(self.now.as_u64(), &self.agent_profiles(), &counters)
     }
 
     /// The current occupancy of every connected input link, in registration
@@ -366,43 +363,15 @@ impl<T: Send + 'static> Engine<T> {
 
     /// Checks the token-transport invariant at the current quiescent
     /// boundary: every connected latency-*N* input link must hold exactly
-    /// *N* tokens in flight. Only meaningful between runs (mid-run a link
-    /// transiently holds one extra window).
+    /// *N* tokens in flight — a boundary input at least *N*, since a peer
+    /// shard already into its next run may have sent more. Only meaningful
+    /// between runs (mid-run a link transiently holds one extra window).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Agent`] naming the first violating agent/port.
     pub fn verify_token_invariant(&self) -> SimResult<()> {
-        self.verify_invariant_inner(false)
-    }
-
-    /// The invariant check, optionally skipping boundary inputs: mid-run a
-    /// cross-process link's refill is asynchronous (the pump injects when
-    /// the peer's window arrives), so only the quiescent end-of-run check —
-    /// which runs after [`Engine::wait_boundary_quiesce`] — may include
-    /// them.
-    fn verify_invariant_inner(&self, skip_boundaries: bool) -> SimResult<()> {
-        for (idx, slot) in self.agents.iter().enumerate() {
-            for (port, rx) in slot.inputs.iter().enumerate() {
-                if skip_boundaries && self.boundary_inputs.contains(&(idx, port)) {
-                    continue;
-                }
-                if let Some(rx) = rx.as_ref() {
-                    let got = rx.in_flight_windows() as u64 * self.window as u64;
-                    let want = rx.latency().as_u64();
-                    if got != want {
-                        return Err(SimError::agent(
-                            slot.agent.name(),
-                            format!(
-                                "token invariant violated on input port {port}: \
-                                 {got} tokens in flight on a latency-{want} link"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        token_invariant(&self.agents, self.window, &self.boundary_inputs, false)
     }
 
     /// Connects `src`'s output port to `dst`'s input port with a link of the
@@ -422,45 +391,16 @@ impl<T: Send + 'static> Engine<T> {
         latency: Cycle,
     ) -> SimResult<()> {
         let (tx, rx) = link(self.window, latency)?;
-        {
-            let s = self
-                .agents
-                .get_mut(src.0)
-                .ok_or_else(|| SimError::topology(format!("no agent {:?}", src)))?;
-            let slot = s.outputs.get_mut(src_port).ok_or_else(|| {
-                SimError::topology(format!(
-                    "agent {} has no output port {src_port}",
-                    s.agent.name()
-                ))
-            })?;
-            if slot.is_some() {
-                return Err(SimError::topology(format!(
-                    "output port {src_port} of agent {} already connected",
-                    s.agent.name()
-                )));
-            }
-            *slot = Some(tx);
-        }
-        {
-            let d = self
-                .agents
-                .get_mut(dst.0)
-                .ok_or_else(|| SimError::topology(format!("no agent {:?}", dst)))?;
-            let slot = d.inputs.get_mut(dst_port).ok_or_else(|| {
-                SimError::topology(format!(
-                    "agent {} has no input port {dst_port}",
-                    d.agent.name()
-                ))
-            })?;
-            if slot.is_some() {
-                return Err(SimError::topology(format!(
-                    "input port {dst_port} of agent {} already connected",
-                    d.agent.name()
-                )));
-            }
-            *slot = Some(rx);
-        }
-        Ok(())
+        let s = self.slot_mut(src)?;
+        attach(&mut s.outputs, tx, s.agent.name(), "output", src_port)?;
+        let d = self.slot_mut(dst)?;
+        attach(&mut d.inputs, rx, d.agent.name(), "input", dst_port)
+    }
+
+    fn slot_mut(&mut self, id: AgentId) -> SimResult<&mut AgentSlot<T>> {
+        self.agents
+            .get_mut(id.0)
+            .ok_or_else(|| SimError::topology(format!("no agent {id:?}")))
     }
 
     fn check_wired(&self) -> SimResult<()> {
@@ -474,6 +414,78 @@ impl<T: Send + 'static> Engine<T> {
         }
         Ok(())
     }
+}
+
+/// Puts one end of a link on `port` of `ports`, agent `agent`'s `kind`
+/// ports, refusing a port that does not exist or is already connected.
+fn attach<L>(
+    ports: &mut [Option<L>],
+    end: L,
+    agent: &str,
+    kind: &str,
+    port: usize,
+) -> SimResult<()> {
+    match ports.get_mut(port) {
+        None => Err(SimError::topology(format!(
+            "agent {agent} has no {kind} port {port}"
+        ))),
+        Some(Some(_)) => Err(SimError::topology(format!(
+            "{kind} port {port} of agent {agent} already connected"
+        ))),
+        Some(free) => {
+            *free = Some(end);
+            Ok(())
+        }
+    }
+}
+
+/// True when an input link holding `held` windows is at a quiescent window
+/// boundary: it holds exactly its `seeded` (`latency / window`) windows,
+/// or — on a boundary input, whose peer shard may already be into its
+/// next run — at least that many. The end-of-run quiesce wait and the
+/// invariant check both use this one predicate.
+fn link_quiescent(held: usize, seeded: usize, boundary: bool) -> bool {
+    if boundary {
+        held >= seeded
+    } else {
+        held == seeded
+    }
+}
+
+/// The token-transport invariant over `slots`: every connected input link
+/// is quiescent (see [`link_quiescent`]).
+/// `skip_boundaries` leaves boundary inputs out: mid-run a cross-process
+/// link's refill is asynchronous (the pump injects when the peer's window
+/// arrives), so only the end-of-run check — which runs after
+/// [`Engine::wait_boundary_quiesce`] — may include them.
+fn token_invariant<'a, T: Send + 'static>(
+    slots: impl IntoIterator<Item = &'a AgentSlot<T>>,
+    window: u32,
+    boundary_inputs: &[(usize, usize)],
+    skip_boundaries: bool,
+) -> SimResult<()> {
+    for slot in slots {
+        for (port, rx) in slot.inputs.iter().enumerate() {
+            let Some(rx) = rx else { continue };
+            let boundary = boundary_inputs.contains(&(slot.index, port));
+            if boundary && skip_boundaries {
+                continue;
+            }
+            let want = rx.latency().as_u64();
+            let held = rx.in_flight_windows();
+            if !link_quiescent(held, (want / u64::from(window)) as usize, boundary) {
+                let got = held as u64 * u64::from(window);
+                return Err(SimError::agent(
+                    slot.agent.name(),
+                    format!(
+                        "token invariant violated on input port {port}: \
+                         {got} tokens in flight on a latency-{want} link"
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 impl<T> std::fmt::Debug for Engine<T> {

@@ -1,15 +1,29 @@
 //! Running rounds: worker configuration, stop/abort/progress handles, and
-//! the loops that step every agent once per window on host workers.
+//! the one worker loop that steps every agent once per window.
+//!
+//! Every thread count runs the same loop ([`Run::worker`]). A worker owns
+//! its agents outright — a sole worker the engine's slots in place, each of
+//! several workers a `Vec` of the slots assigned to it — so stepping takes
+//! no lock. Worker 0 is the calling thread: a one-worker run spawns nothing
+//! and synchronises with nobody, which is what keeps it as cheap as a
+//! plain loop over the agents. Several workers meet once per chunk, at a
+//! barrier, only to vote on ending a [`Engine::run_until_done`]. The one
+//! load-aware repartition happens between two sets of scoped workers: the
+//! first chunk measures each agent's host cost, the rest of the run uses
+//! the re-packed assignment.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::borrow::BorrowMut;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::agent::{step_agent, AgentSlot};
-use super::{AgentId, Engine};
+use super::{token_invariant, AgentId, Engine};
 use crate::error::{SimError, SimResult};
 use crate::fault::AgentFaults;
-use crate::metrics::{CounterId, HistogramId, MetricsShard, SpanBuffer, SpanTracer};
+use crate::metrics::{
+    CounterId, HistogramId, MetricsRegistry, MetricsShard, SpanBuffer, SpanTracer,
+};
 use crate::sync::{BarrierCancelled, EpochBarrier};
 use crate::time::Cycle;
 
@@ -116,7 +130,7 @@ pub struct RunSummary {
     pub cycles: Cycle,
     /// Host wall-clock time spent.
     pub wall: Duration,
-    /// Number of host threads used (1 = sequential).
+    /// Number of host workers used (1 = the calling thread alone).
     pub host_threads: usize,
     /// Number of agents simulated.
     pub agents: usize,
@@ -146,7 +160,7 @@ struct EngineMetricIds {
     /// independent of host thread count.
     steps: CounterId,
     /// `engine/barrier_wait_ns`: host ns spent waiting at chunk barriers
-    /// (parallel mode only). Host-dependent.
+    /// (multi-worker runs only). Host-dependent.
     barrier_ns: CounterId,
     /// `engine/chunk_host_ns`: host ns per worker-chunk. Host-dependent.
     chunk_ns: HistogramId,
@@ -154,11 +168,11 @@ struct EngineMetricIds {
 
 impl<T: Send + 'static> Engine<T> {
     /// Sets the number of host worker threads used by subsequent runs.
-    /// `0` and `1` both mean sequential execution on the calling thread.
+    /// `0` and `1` both mean one worker, which runs on the calling thread.
     ///
     /// The scheduler never uses more workers than the host has cores
     /// (oversubscribing buys nothing but context-switch overhead and can
-    /// cost several times the sequential rate); the request is clamped to
+    /// cost several times the one-worker rate); the request is clamped to
     /// [`std::thread::available_parallelism`] at run time unless
     /// [`Engine::set_host_oversubscribe`] lifts the cap. Thanks to the
     /// token protocol the worker count never affects simulated behaviour,
@@ -169,23 +183,24 @@ impl<T: Send + 'static> Engine<T> {
     }
 
     /// Allows more host workers than the machine has cores. Useful for
-    /// testing the parallel execution paths on small hosts; a performance
-    /// anti-pattern otherwise.
+    /// testing multi-worker runs on small hosts; a performance anti-pattern
+    /// otherwise.
     pub fn set_host_oversubscribe(&mut self, allow: bool) -> &mut Self {
         self.oversubscribe = allow;
         self
     }
 
-    /// Sets how many rounds run between stop-flag checks in parallel mode.
-    /// Larger chunks amortise synchronisation; stops are honoured at chunk
-    /// boundaries only (deterministically).
+    /// Sets how many rounds run between chunk boundaries, where workers
+    /// check for stops and, in [`Engine::run_until_done`], vote on ending
+    /// the run. Larger chunks amortise synchronisation; stops are honoured
+    /// at chunk boundaries only (deterministically).
     pub fn set_chunk_rounds(&mut self, rounds: u64) -> &mut Self {
         self.chunk_rounds = rounds.max(1);
         self
     }
 
     /// Supplies a relative host-cost weight for an agent, used by the
-    /// load-aware partitioner in parallel runs.
+    /// load-aware partitioner in multi-worker runs.
     ///
     /// Weighted agents skip the first-chunk cost measurement: the caller's
     /// number wins. Unweighted agents are measured. Weights are relative —
@@ -224,11 +239,7 @@ impl<T: Send + 'static> Engine<T> {
     pub fn progress_probe(&mut self) -> ProgressProbe {
         let shared = Arc::new(ProgressShared {
             steps: (0..self.agents.len()).map(|_| AtomicU64::new(0)).collect(),
-            names: self
-                .agents
-                .iter()
-                .map(|s| s.agent.name().to_owned())
-                .collect(),
+            names: self.agent_names(),
         });
         self.progress = Some(Arc::clone(&shared));
         ProgressProbe { inner: shared }
@@ -292,17 +303,7 @@ impl<T: Send + 'static> Engine<T> {
             host_cores()
         };
         let threads = self.host_threads.min(cores).min(self.agents.len()).max(1);
-        let ids = self.metrics.as_ref().map(|m| EngineMetricIds {
-            steps: m.counter("engine/agent_steps"),
-            barrier_ns: m.counter("engine/barrier_wait_ns"),
-            chunk_ns: m.histogram("engine/chunk_host_ns"),
-        });
-        let result = if threads <= 1 {
-            self.run_sequential(rounds, stoppable, &faults, ids)
-        } else {
-            self.run_parallel(rounds, stoppable, threads, &faults, ids)
-        };
-        let rounds_run = match result {
+        let rounds_run = match self.run_workers(rounds, stoppable, threads, &faults) {
             Ok(r) => {
                 if self.abort.load(Ordering::Acquire) {
                     return Err(self.abort_error());
@@ -351,50 +352,223 @@ impl<T: Send + 'static> Engine<T> {
         SimError::Aborted { reason }
     }
 
-    fn run_sequential(
+    /// Steps every agent through `rounds` rounds on `threads` workers and
+    /// returns the rounds completed (fewer when a stop ends the run early).
+    ///
+    /// Several workers start with the agents packed by their caller weights
+    /// (default 1, i.e. round-robin-ish). A run long enough to profit
+    /// measures each agent's host cost over the first chunk, re-packs the
+    /// agents once by that cost, and runs the remaining rounds on a fresh
+    /// set of workers.
+    fn run_workers(
         &mut self,
         rounds: u64,
         stoppable: bool,
+        threads: usize,
         faults: &[Option<AgentFaults>],
-        ids: Option<EngineMetricIds>,
     ) -> SimResult<u64> {
-        let window = self.window;
-        let mut now = self.now;
-        let mut round = 0u64;
-        let progress = self.progress.clone();
-        let metrics = self.metrics.clone();
-        let profiling = metrics.is_some();
-        let mut shard = metrics.as_ref().map(|m| m.shard());
-        let tracer = self.tracer.clone();
-        if let Some(t) = &tracer {
-            t.name_thread(0, "engine");
+        let run = Run {
+            window: self.window,
+            start: self.now,
+            chunk: self.chunk_rounds,
+            threads,
+            stoppable,
+            faults,
+            ids: self.metrics.as_ref().map(|m| EngineMetricIds {
+                steps: m.counter("engine/agent_steps"),
+                barrier_ns: m.counter("engine/barrier_wait_ns"),
+                chunk_ns: m.histogram("engine/chunk_host_ns"),
+            }),
+            stop: &self.stop,
+            halt: &self.run_halt,
+            progress: self.progress.as_deref(),
+            metrics: self.metrics.as_deref(),
+            tracer: self.tracer.as_deref(),
+            boundary_inputs: &self.boundary_inputs,
+            barrier: EpochBarrier::new(threads),
+            votes: match threads {
+                1 => Vec::new(),
+                _ => (0..2 * threads).map(|_| AtomicU8::new(0)).collect(),
+            },
+            error: parking_lot::Mutex::new(None),
+        };
+        let mut assignment = Vec::new();
+        let mut from = 0;
+        if threads > 1 {
+            let weights: Vec<Option<u64>> = self.agents.iter().map(|s| s.weight).collect();
+            let mut costs: Vec<u64> = weights.iter().map(|w| w.unwrap_or(1)).collect();
+            assignment = lpt_partition(&costs, threads);
+            if rounds > run.chunk && self.agents.len() > threads {
+                let (done, measured) =
+                    run.phase(&mut self.agents, &assignment, 0, run.chunk, true)?;
+                if stoppable && (self.stop.load(Ordering::Acquire) || self.all_done()) {
+                    return Ok(done);
+                }
+                for (i, ns) in measured {
+                    costs[i] = weights[i].unwrap_or(ns);
+                }
+                assignment = lpt_partition(&costs, threads);
+                from = done;
+            }
         }
-        let mut span_buf = tracer.as_ref().map(|t| t.buffer(0));
-        // Observability pays one clock read per step, not two: the read
-        // that closes step N's span/host_ns opens step N+1's.
-        let need_clock = profiling || tracer.is_some();
-        while round < rounds {
-            let chunk_end = (round + self.chunk_rounds).min(rounds);
+        run.phase(&mut self.agents, &assignment, from, rounds, false)
+            .map(|(done, _)| done)
+    }
+}
+
+/// Chunk-vote bits for `run_until_done`.
+const VOTE_DONE: u8 = 1;
+const VOTE_STOPPED: u8 = 2;
+
+/// What the workers of one run share. Each worker owns its agents
+/// outright; everything here is read-only apart from atomics, the barrier
+/// and the error slot.
+struct Run<'a> {
+    window: u32,
+    /// Target cycle of round 0.
+    start: Cycle,
+    chunk: u64,
+    threads: usize,
+    stoppable: bool,
+    faults: &'a [Option<AgentFaults>],
+    ids: Option<EngineMetricIds>,
+    stop: &'a AtomicBool,
+    /// Set on error, panic, or abort; sleeping peers notice within
+    /// ~500µs. Shared with [`AbortHandle`]s via the engine.
+    halt: &'a AtomicBool,
+    progress: Option<&'a ProgressShared>,
+    metrics: Option<&'a MetricsRegistry>,
+    tracer: Option<&'a SpanTracer>,
+    boundary_inputs: &'a [(usize, usize)],
+    barrier: EpochBarrier,
+    /// Per-worker chunk votes, double-buffered by chunk parity: the bucket
+    /// for chunk `c` is re-written at chunk `c + 2`, by which time every
+    /// reader of the chunk-`c` values has passed two barriers. One barrier
+    /// per chunk thus suffices — every input to the continue/stop decision
+    /// is a pre-barrier snapshot, so all workers decide identically.
+    votes: Vec<AtomicU8>,
+    /// The most diagnostic error any worker hit.
+    error: parking_lot::Mutex<Option<SimError>>,
+}
+
+impl Run<'_> {
+    /// Runs rounds `from..to` with agent `i` on worker `assignment[i]`.
+    /// Worker 0 is the calling thread, so a sole worker spawns nothing and
+    /// steps the engine's slots in place. Returns the rounds every worker
+    /// completed and, when `measuring`, each agent's host nanoseconds.
+    fn phase<T: Send + 'static>(
+        &self,
+        agents: &mut [AgentSlot<T>],
+        assignment: &[usize],
+        from: u64,
+        to: u64,
+        measuring: bool,
+    ) -> SimResult<(u64, Vec<(usize, u64)>)> {
+        let outcome = if self.threads == 1 {
+            self.worker(0, agents, from, to, measuring)
+        } else {
+            let mut owned: Vec<Vec<&mut AgentSlot<T>>> =
+                (0..self.threads).map(|_| Vec::new()).collect();
+            for slot in agents {
+                owned[assignment[slot.index]].push(slot);
+            }
+            let (first, rest) = owned.split_first_mut().expect("at least one worker");
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = rest
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(w, mine)| {
+                        scope.spawn(move || self.worker(w + 1, mine, from, to, measuring))
+                    })
+                    .collect();
+                let (mut done, mut measured) = self.worker(0, first, from, to, measuring);
+                for handle in spawned {
+                    let (r, m) = handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    done = done.min(r);
+                    measured.extend(m);
+                }
+                (done, measured)
+            })
+        };
+        match self.error.lock().take() {
+            Some(e) => Err(e),
+            None => Ok(outcome),
+        }
+    }
+
+    /// One worker: steps the agents it owns through rounds `from..to`,
+    /// chunk by chunk, and returns the rounds it completed plus, when
+    /// `measuring`, its agents' host nanoseconds.
+    ///
+    /// Kept out of line, with `step_agent` inlined into it, so the hot loop
+    /// compiles the same whichever crate instantiates it.
+    #[inline(never)]
+    fn worker<T: Send + 'static, S: BorrowMut<AgentSlot<T>>>(
+        &self,
+        widx: usize,
+        mine: &mut [S],
+        from: u64,
+        to: u64,
+        measuring: bool,
+    ) -> (u64, Vec<(usize, u64)>) {
+        let _guard = PanicGuard(self);
+        let Run {
+            window,
+            start,
+            chunk,
+            threads,
+            stoppable,
+            faults,
+            ids,
+            stop,
+            halt,
+            progress,
+            metrics,
+            tracer,
+            boundary_inputs,
+            ..
+        } = *self;
+        let profiling = metrics.is_some();
+        let mut shard = metrics.map(MetricsRegistry::shard);
+        let mut span_buf = tracer.map(|t| {
+            t.name_thread(widx as u32, format!("worker{widx}"));
+            t.buffer(widx as u32)
+        });
+        let mut measured = vec![0u64; if measuring { mine.len() } else { 0 }];
+        // One clock read per step, chained: it closes the previous step's
+        // span / host_ns / load measurement and opens the next one's.
+        let need_clock = profiling || tracer.is_some() || measuring;
+        let mut parity = 0;
+        let mut now = start + Cycle::new(from * u64::from(window));
+        let mut round = from;
+        'chunks: while round < to && !halt.load(Ordering::Acquire) {
+            let chunk_end = (round + chunk).min(to);
             let chunk_t0 = need_clock.then(Instant::now);
             let mut t_prev = chunk_t0;
             while round < chunk_end {
-                for (i, slot) in self.agents.iter_mut().enumerate() {
-                    if step_agent(
-                        slot,
-                        now,
-                        window,
-                        None,
-                        faults.get(i).and_then(Option::as_ref),
-                        profiling,
-                    )? {
-                        self.stop.store(true, Ordering::Release);
+                for (k, slot) in mine.iter_mut().enumerate() {
+                    let slot: &mut AgentSlot<T> = slot.borrow_mut();
+                    let faults = faults.get(slot.index).and_then(Option::as_ref);
+                    match step_agent(slot, now, window, halt, faults, profiling) {
+                        Ok(true) => stop.store(true, Ordering::Release),
+                        Ok(false) => {}
+                        Err(e) => {
+                            self.fail(e);
+                            break 'chunks;
+                        }
                     }
                     if let Some(prev) = t_prev {
                         let t_now = Instant::now();
-                        if profiling {
-                            slot.profile.host_ns += t_now.duration_since(prev).as_nanos() as u64;
+                        let ns = t_now.duration_since(prev).as_nanos() as u64;
+                        if measuring {
+                            measured[k] += ns;
                         }
-                        if let (Some(t), Some(buf)) = (&tracer, span_buf.as_mut()) {
+                        if profiling {
+                            slot.profile.host_ns += ns;
+                        }
+                        if let (Some(t), Some(buf)) = (tracer, span_buf.as_mut()) {
                             buf.span_args(
                                 slot.agent.name(),
                                 "agent",
@@ -408,332 +582,116 @@ impl<T: Send + 'static> Engine<T> {
                     if let (Some(sh), Some(ids)) = (shard.as_mut(), ids) {
                         sh.inc(ids.steps);
                     }
-                    if let Some(p) = &progress {
-                        if let Some(c) = p.steps.get(i) {
-                            c.fetch_add(1, Ordering::Relaxed);
-                        }
+                    if let Some(c) = progress.and_then(|p| p.steps.get(slot.index)) {
+                        c.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                now += Cycle::new(window as u64);
+                now += Cycle::new(u64::from(window));
                 round += 1;
-                // In sequential mode every round ends quiescent, so the
-                // token invariant can be checked continuously (debug only).
+                // A sole worker ends every round quiescent, so the token
+                // invariant can be checked continuously (debug builds).
                 // Boundary inputs refill asynchronously and are excluded
                 // here; the end-of-run check covers them after the quiesce
                 // wait.
-                #[cfg(debug_assertions)]
-                if let Err(e) = self.verify_invariant_inner(true) {
-                    panic!("{e}");
+                if cfg!(debug_assertions) && threads == 1 {
+                    let slots = mine.iter().map(|s| s.borrow());
+                    if let Err(e) = token_invariant(slots, window, boundary_inputs, true) {
+                        panic!("{e}");
+                    }
                 }
             }
-            if let (Some(m), Some(sh)) = (metrics.as_ref(), shard.as_mut()) {
+            // Fold this chunk's metrics into the registry at the chunk
+            // boundary — the one place a lock is already tolerable.
+            if let (Some(m), Some(sh)) = (metrics, shard.as_mut()) {
                 if let (Some(ids), Some(t0)) = (ids, chunk_t0) {
                     sh.record(ids.chunk_ns, t0.elapsed().as_nanos() as u64);
                 }
                 m.absorb(sh);
             }
-            if self.abort.load(Ordering::Acquire) {
-                return Err(self.abort_error());
-            }
             if stoppable {
-                let done =
-                    self.stop.load(Ordering::Acquire) || self.agents.iter().all(|s| s.agent.done());
-                if done {
+                let mut vote = 0;
+                if mine.iter().all(|s| s.borrow().agent.done()) {
+                    vote |= VOTE_DONE;
+                }
+                if stop.load(Ordering::Acquire) {
+                    vote |= VOTE_STOPPED;
+                }
+                // A cancelled barrier means a peer failed: the run ends too.
+                let ends =
+                    self.ends_here(widx, &mut parity, vote, span_buf.as_mut(), shard.as_mut());
+                if ends.unwrap_or(true) {
                     break;
                 }
             }
         }
-        if let (Some(t), Some(mut buf)) = (tracer.as_ref(), span_buf.take()) {
+        if let (Some(m), Some(sh)) = (metrics, shard.as_mut()) {
+            m.absorb(sh);
+        }
+        if let (Some(t), Some(mut buf)) = (tracer, span_buf) {
             t.flush(&mut buf);
         }
-        Ok(round)
+        let measured = mine.iter().map(|s| s.borrow().index).zip(measured);
+        (round, measured.collect())
     }
 
-    fn run_parallel(
-        &mut self,
-        rounds: u64,
-        stoppable: bool,
-        threads: usize,
-        faults: &[Option<AgentFaults>],
-        ids: Option<EngineMetricIds>,
-    ) -> SimResult<u64> {
-        let window = self.window;
-        let start_now = self.now;
-        let chunk = self.chunk_rounds;
-        let n_agents = self.agents.len();
-        let stop = Arc::clone(&self.stop);
-        let progress = self.progress.clone();
-        let metrics = self.metrics.clone();
-        let tracer = self.tracer.clone();
-
-        let barrier = EpochBarrier::new(threads);
-        // Set on error, panic, or abort; sleeping peers notice within
-        // ~500µs. Shared with [`AbortHandle`]s via the engine.
-        let halt_arc = Arc::clone(&self.run_halt);
-        let halt: &AtomicBool = &halt_arc;
-        let error: parking_lot::Mutex<Option<SimError>> = parking_lot::Mutex::new(None);
-
-        // Load-aware partitioning state. The initial assignment packs
-        // caller weights (default 1, i.e. round-robin-ish); if the run is
-        // long enough to profit, per-agent host cost is measured during
-        // the first chunk and agents are re-packed once at its boundary.
-        let hints: Vec<Option<u64>> = self.agents.iter().map(|s| s.weight).collect();
-        let measured: Vec<AtomicU64> = (0..n_agents).map(|_| AtomicU64::new(0)).collect();
-        let initial_costs: Vec<u64> = hints.iter().map(|h| h.unwrap_or(1)).collect();
-        let assignment: Vec<AtomicUsize> = lpt_partition(&initial_costs, threads)
-            .into_iter()
-            .map(AtomicUsize::new)
-            .collect();
-        let measure = rounds > chunk && n_agents > threads;
-
-        // Agents are only ever touched by their assigned worker within a
-        // chunk; the mutexes make the hand-off at repartition boundaries
-        // safe and keep the compiler honest. They are uncontended.
-        let slots: Vec<parking_lot::Mutex<&mut AgentSlot<T>>> = self
-            .agents
-            .iter_mut()
-            .map(parking_lot::Mutex::new)
-            .collect();
-
-        // Per-worker chunk votes (VOTE_DONE / VOTE_STOPPED bits),
-        // double-buffered by chunk parity: the bucket for chunk `c` is
-        // re-written at chunk `c + 2`, by which time every reader of the
-        // chunk-`c` values has passed two barriers. One barrier per chunk
-        // thus suffices — every input to the continue/stop decision is a
-        // pre-barrier snapshot, so all workers decide identically.
-        let votes: Vec<AtomicU8> = (0..2 * threads).map(|_| AtomicU8::new(0)).collect();
-        const VOTE_DONE: u8 = 1;
-        const VOTE_STOPPED: u8 = 2;
-
-        let worker_results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|widx| {
-                    let barrier = &barrier;
-                    let error = &error;
-                    let stop = &stop;
-                    let slots = &slots;
-                    let assignment = &assignment;
-                    let measured = &measured;
-                    let hints = &hints;
-                    let votes = &votes;
-                    let progress = &progress;
-                    let metrics = &metrics;
-                    let tracer = &tracer;
-                    scope.spawn(move || {
-                        let _guard = PanicGuard { halt, barrier };
-                        let mut my_agents: Vec<usize> = (0..n_agents)
-                            .filter(|&i| assignment[i].load(Ordering::Relaxed) == widx)
-                            .collect();
-                        let mut now = start_now;
-                        let mut round = 0u64;
-                        let mut measuring = measure;
-                        let mut repartitioned = !measure;
-                        let mut parity = 0usize;
-                        let profiling = metrics.is_some();
-                        let mut shard = metrics.as_ref().map(|m| m.shard());
-                        if let Some(t) = tracer {
-                            t.name_thread(widx as u32, format!("worker{widx}"));
-                        }
-                        let mut span_buf = tracer.as_ref().map(|t| t.buffer(widx as u32));
-                        'chunks: while round < rounds {
-                            if halt.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let chunk_end = (round + chunk).min(rounds);
-                            // One clock read per step, chained: it closes
-                            // the previous step's span / host_ns / load
-                            // measurement and opens the next one's.
-                            let need_clock = profiling || tracer.is_some() || measuring;
-                            let chunk_t0 = need_clock.then(Instant::now);
-                            let mut t_prev = chunk_t0;
-                            while round < chunk_end {
-                                for &i in &my_agents {
-                                    let slot: &mut AgentSlot<T> = &mut slots[i].lock();
-                                    let agent_faults = faults.get(i).and_then(Option::as_ref);
-                                    match step_agent(
-                                        slot,
-                                        now,
-                                        window,
-                                        Some(halt),
-                                        agent_faults,
-                                        profiling,
-                                    ) {
-                                        Ok(true) => stop.store(true, Ordering::Release),
-                                        Ok(false) => {}
-                                        Err(e) => {
-                                            // Keep the most diagnostic error:
-                                            // the panicking agent's own report
-                                            // must not be clobbered by a peer
-                                            // observing the fallout.
-                                            let mut err = error.lock();
-                                            let replace = match &*err {
-                                                Some(prev) => e.severity() > prev.severity(),
-                                                None => true,
-                                            };
-                                            if replace {
-                                                *err = Some(e);
-                                            }
-                                            drop(err);
-                                            halt.store(true, Ordering::Release);
-                                            barrier.cancel();
-                                            break 'chunks;
-                                        }
-                                    }
-                                    if let Some(prev) = t_prev {
-                                        let t_now = Instant::now();
-                                        let ns = t_now.duration_since(prev).as_nanos() as u64;
-                                        if measuring {
-                                            measured[i].fetch_add(ns, Ordering::Relaxed);
-                                        }
-                                        if profiling {
-                                            slot.profile.host_ns += ns;
-                                        }
-                                        if let (Some(t), Some(buf)) = (tracer, span_buf.as_mut()) {
-                                            buf.span_args(
-                                                slot.agent.name(),
-                                                "agent",
-                                                t.ns_of(prev),
-                                                t.ns_of(t_now),
-                                                vec![("cycle", now.as_u64())],
-                                            );
-                                        }
-                                        t_prev = Some(t_now);
-                                    }
-                                    if let (Some(sh), Some(ids)) = (shard.as_mut(), ids) {
-                                        sh.inc(ids.steps);
-                                    }
-                                    if let Some(p) = progress {
-                                        if let Some(c) = p.steps.get(i) {
-                                            c.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                }
-                                now += Cycle::new(window as u64);
-                                round += 1;
-                            }
-                            // Fold this chunk's metrics into the registry at
-                            // the chunk boundary — the one place a lock is
-                            // already tolerable.
-                            if let (Some(m), Some(sh)) = (metrics.as_ref(), shard.as_mut()) {
-                                if let (Some(ids), Some(t0)) = (ids, chunk_t0) {
-                                    sh.record(ids.chunk_ns, t0.elapsed().as_nanos() as u64);
-                                }
-                                m.absorb(sh);
-                            }
-                            if !repartitioned {
-                                repartitioned = true;
-                                measuring = false;
-                                let Ok(is_leader) = traced_wait(
-                                    barrier,
-                                    tracer.as_ref(),
-                                    span_buf.as_mut(),
-                                    shard.as_mut(),
-                                    ids.map(|ids| ids.barrier_ns),
-                                ) else {
-                                    break;
-                                };
-                                if is_leader {
-                                    let rep_start = tracer.as_ref().map(|t| t.now_ns());
-                                    let costs: Vec<u64> = (0..n_agents)
-                                        .map(|i| {
-                                            hints[i]
-                                                .unwrap_or_else(|| {
-                                                    measured[i].load(Ordering::Relaxed)
-                                                })
-                                                .max(1)
-                                        })
-                                        .collect();
-                                    for (i, w) in
-                                        lpt_partition(&costs, threads).into_iter().enumerate()
-                                    {
-                                        assignment[i].store(w, Ordering::Relaxed);
-                                    }
-                                    if let (Some(t), Some(buf)) = (tracer, span_buf.as_mut()) {
-                                        buf.span(
-                                            "repartition",
-                                            "sched",
-                                            rep_start.unwrap_or(0),
-                                            t.now_ns(),
-                                        );
-                                    }
-                                }
-                                if traced_wait(
-                                    barrier,
-                                    tracer.as_ref(),
-                                    span_buf.as_mut(),
-                                    shard.as_mut(),
-                                    ids.map(|ids| ids.barrier_ns),
-                                )
-                                .is_err()
-                                {
-                                    break;
-                                }
-                                my_agents.clear();
-                                my_agents
-                                    .extend((0..n_agents).filter(|&i| {
-                                        assignment[i].load(Ordering::Relaxed) == widx
-                                    }));
-                            }
-                            if stoppable {
-                                let mut vote = 0u8;
-                                if my_agents.iter().all(|&i| slots[i].lock().agent.done()) {
-                                    vote |= VOTE_DONE;
-                                }
-                                if stop.load(Ordering::Acquire) {
-                                    vote |= VOTE_STOPPED;
-                                }
-                                votes[parity * threads + widx].store(vote, Ordering::Relaxed);
-                                if traced_wait(
-                                    barrier,
-                                    tracer.as_ref(),
-                                    span_buf.as_mut(),
-                                    shard.as_mut(),
-                                    ids.map(|ids| ids.barrier_ns),
-                                )
-                                .is_err()
-                                {
-                                    break;
-                                }
-                                let mut all_done = true;
-                                let mut stopped = false;
-                                for w in 0..threads {
-                                    let v = votes[parity * threads + w].load(Ordering::Relaxed);
-                                    all_done &= v & VOTE_DONE != 0;
-                                    stopped |= v & VOTE_STOPPED != 0;
-                                }
-                                parity ^= 1;
-                                if all_done || stopped {
-                                    break;
-                                }
-                            }
-                        }
-                        if let (Some(m), Some(sh)) = (metrics.as_ref(), shard.as_mut()) {
-                            m.absorb(sh);
-                        }
-                        if let (Some(t), Some(mut buf)) = (tracer.as_ref(), span_buf.take()) {
-                            t.flush(&mut buf);
-                        }
-                        round
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<std::thread::Result<u64>>>()
-        });
-
-        let mut min_rounds = rounds;
-        for r in worker_results {
-            match r {
-                Ok(r) => min_rounds = min_rounds.min(r),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    /// Publishes this worker's chunk vote and returns whether the run ends
+    /// at this chunk boundary (every agent done, or a stop requested) —
+    /// the same answer on every worker. A sole worker decides alone; the
+    /// others meet at one barrier, accounted to `engine/barrier_wait_ns`
+    /// and traced as a `"barrier"` span. `Err` when the barrier was
+    /// cancelled.
+    fn ends_here(
+        &self,
+        widx: usize,
+        parity: &mut usize,
+        vote: u8,
+        buf: Option<&mut SpanBuffer>,
+        shard: Option<&mut MetricsShard>,
+    ) -> Result<bool, BarrierCancelled> {
+        if self.threads == 1 {
+            return Ok(vote != 0);
         }
-        if let Some(e) = error.lock().take() {
-            return Err(e);
+        let votes = &self.votes[*parity * self.threads..][..self.threads];
+        *parity ^= 1;
+        votes[widx].store(vote, Ordering::Relaxed);
+        let t0 = shard.is_some().then(Instant::now);
+        let start_ns = self.tracer.map(SpanTracer::now_ns);
+        let waited = self.barrier.wait();
+        if let (Some(t0), Some(sh), Some(ids)) = (t0, shard, self.ids) {
+            sh.add(ids.barrier_ns, t0.elapsed().as_nanos() as u64);
         }
-        Ok(min_rounds)
+        if let (Some(t), Some(buf), Some(start)) = (self.tracer, buf, start_ns) {
+            buf.span("barrier", "sync", start, t.now_ns());
+        }
+        waited?;
+        let all_done = votes
+            .iter()
+            .all(|v| v.load(Ordering::Relaxed) & VOTE_DONE != 0);
+        let stopped = votes
+            .iter()
+            .any(|v| v.load(Ordering::Relaxed) & VOTE_STOPPED != 0);
+        Ok(all_done || stopped)
+    }
+
+    /// Records a worker's error and halts the run. Keeps the most
+    /// diagnostic error: the panicking agent's own report must not be
+    /// clobbered by a peer observing the fallout.
+    fn fail(&self, e: SimError) {
+        let mut err = self.error.lock();
+        if err
+            .as_ref()
+            .is_none_or(|prev| e.severity() > prev.severity())
+        {
+            *err = Some(e);
+        }
+        drop(err);
+        self.halt_all();
+    }
+
+    /// Wakes every worker out of channel waits and the barrier.
+    fn halt_all(&self) {
+        self.halt.store(true, Ordering::Release);
+        self.barrier.cancel();
     }
 }
 
@@ -748,18 +706,15 @@ fn host_cores() -> usize {
     })
 }
 
-/// Unwind guard: an agent panicking on one worker must not leave the other
-/// workers blocked in channel receives or at the barrier forever.
-struct PanicGuard<'a> {
-    halt: &'a AtomicBool,
-    barrier: &'a EpochBarrier,
-}
+/// Unwind guard: a worker unwinding (an engine bug; agent panics are caught
+/// by `step_agent`) must not leave the other workers blocked in channel
+/// receives or at the barrier forever.
+struct PanicGuard<'a>(&'a Run<'a>);
 
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.halt.store(true, Ordering::Release);
-            self.barrier.cancel();
+            self.0.halt_all();
         }
     }
 }
@@ -778,26 +733,4 @@ pub(super) fn lpt_partition(costs: &[u64], threads: usize) -> Vec<usize> {
         load[lightest] += u128::from(costs[i].max(1));
     }
     assignment
-}
-
-/// A barrier wait that (optionally) accounts its duration to the
-/// `engine/barrier_wait_ns` counter and records a `"barrier"` span.
-/// With observability off this is exactly `barrier.wait()`.
-fn traced_wait(
-    barrier: &EpochBarrier,
-    tracer: Option<&Arc<SpanTracer>>,
-    buf: Option<&mut SpanBuffer>,
-    shard: Option<&mut MetricsShard>,
-    barrier_ns: Option<CounterId>,
-) -> Result<bool, BarrierCancelled> {
-    let t0 = shard.is_some().then(Instant::now);
-    let start_ns = tracer.map(|t| t.now_ns());
-    let result = barrier.wait();
-    if let (Some(t0), Some(sh), Some(id)) = (t0, shard, barrier_ns) {
-        sh.add(id, t0.elapsed().as_nanos() as u64);
-    }
-    if let (Some(t), Some(buf), Some(start)) = (tracer, buf, start_ns) {
-        buf.span("barrier", "sync", start, t.now_ns());
-    }
-    result
 }

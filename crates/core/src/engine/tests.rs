@@ -1,4 +1,4 @@
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use super::schedule::lpt_partition;
 use super::*;
@@ -65,13 +65,19 @@ impl Checkpoint for Pulser {
     }
 }
 
+/// Two pulsers with periods `periods` in a ring of `latency`-cycle links.
+fn pulser_ring(window: u32, periods: [u64; 2], latency: u64) -> Engine<u64> {
+    let mut engine = Engine::new(window);
+    let a = engine.add_agent(Box::new(Pulser::new(periods[0])));
+    let b = engine.add_agent(Box::new(Pulser::new(periods[1])));
+    engine.connect(a, 0, b, 0, Cycle::new(latency)).unwrap();
+    engine.connect(b, 0, a, 0, Cycle::new(latency)).unwrap();
+    engine
+}
+
 #[test]
 fn two_agents_ring_latency() {
-    let mut engine = Engine::new(8);
-    let a = engine.add_agent(Box::new(Pulser::new(16)));
-    let b = engine.add_agent(Box::new(Pulser::new(16)));
-    engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
+    let mut engine = pulser_ring(8, [16, 16], 8);
     let summary = engine.run_for(Cycle::new(64)).unwrap();
     assert_eq!(summary.cycles, Cycle::new(64));
     // Tokens sent at cycles 0, 16, 32, 48 arrive 8 cycles later.
@@ -134,85 +140,108 @@ impl SimAgent for OneShot {
     }
 }
 
+/// Adds a one-shot firing at cycle `at` and a probe `latency` cycles
+/// downstream of it; returns the probe's arrival cycles.
+fn shot_into_probe(
+    engine: &mut Engine<u64>,
+    at: u64,
+    latency: u64,
+) -> Arc<parking_lot::Mutex<Vec<u64>>> {
+    let arrivals = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let s = engine.add_agent(Box::new(OneShot { at, fired: false }));
+    let p = engine.add_agent(Box::new(Probe {
+        arrivals: Arc::clone(&arrivals),
+    }));
+    engine.connect(s, 0, p, 0, Cycle::new(latency)).unwrap();
+    arrivals
+}
+
+/// A one-input test agent whose round is a closure of the window's start
+/// cycle, run after the input is drained. `done` is what it reports.
+struct Scripted<F> {
+    name: &'static str,
+    outputs: usize,
+    done: bool,
+    step: F,
+}
+
+impl<F: FnMut(Cycle) + Send> SimAgent for Scripted<F> {
+    type Token = u64;
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn num_inputs(&self) -> usize {
+        1
+    }
+    fn num_outputs(&self) -> usize {
+        self.outputs
+    }
+    fn advance(&mut self, ctx: &mut AgentCtx<u64>) {
+        ctx.drain_input(0).for_each(drop);
+        (self.step)(ctx.now());
+    }
+    fn done(&self) -> bool {
+        self.done
+    }
+}
+
+/// A one-in, one-out [`Scripted`] agent that is never done.
+fn scripted<F: FnMut(Cycle) + Send + 'static>(name: &'static str, step: F) -> Box<Scripted<F>> {
+    Box::new(Scripted {
+        name,
+        outputs: 1,
+        done: false,
+        step,
+    })
+}
+
 #[test]
 fn token_arrives_exactly_latency_later() {
     for latency in [8u64, 16, 64] {
-        let arrivals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut engine = Engine::new(8);
-        let s = engine.add_agent(Box::new(OneShot {
-            at: 13,
-            fired: false,
-        }));
-        let p = engine.add_agent(Box::new(Probe {
-            arrivals: arrivals.clone(),
-        }));
-        engine.connect(s, 0, p, 0, Cycle::new(latency)).unwrap();
+        let arrivals = shot_into_probe(&mut engine, 13, latency);
         engine.run_for(Cycle::new(256)).unwrap();
         assert_eq!(*arrivals.lock(), vec![13 + latency], "latency {latency}");
     }
 }
 
+/// Arrivals at a probe 12 cycles downstream of a one-shot, beside a
+/// pulser ring that gives the partitioner something to split. `weights`
+/// go to the one-shot, the probe and the two pulsers.
+fn probe_arrivals(threads: usize, chunk_rounds: u64, weights: Option<[u64; 4]>) -> Vec<u64> {
+    let mut engine = Engine::new(4);
+    engine
+        .set_host_threads(threads)
+        .set_host_oversubscribe(true)
+        .set_chunk_rounds(chunk_rounds);
+    let arrivals = shot_into_probe(&mut engine, 7, 12);
+    let a = engine.add_agent(Box::new(Pulser::new(8)));
+    let b = engine.add_agent(Box::new(Pulser::new(8)));
+    let ids: Vec<_> = engine.agent_ids().collect();
+    for (id, w) in ids.into_iter().zip(weights.into_iter().flatten()) {
+        engine.set_agent_weight(id, w);
+    }
+    engine.connect(a, 0, b, 0, Cycle::new(4)).unwrap();
+    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
+    engine.run_for(Cycle::new(128)).unwrap();
+    let v = arrivals.lock().clone();
+    v
+}
+
+/// One worker and two to four workers produce the same arrivals.
 #[test]
-fn parallel_matches_sequential() {
-    let run = |threads: usize| {
-        let arrivals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut engine = Engine::new(4);
-        engine
-            .set_host_threads(threads)
-            .set_host_oversubscribe(true);
-        let s = engine.add_agent(Box::new(OneShot {
-            at: 7,
-            fired: false,
-        }));
-        let p = engine.add_agent(Box::new(Probe {
-            arrivals: arrivals.clone(),
-        }));
-        // extra agents to exercise partitioning
-        let a = engine.add_agent(Box::new(Pulser::new(8)));
-        let b = engine.add_agent(Box::new(Pulser::new(8)));
-        engine.connect(s, 0, p, 0, Cycle::new(12)).unwrap();
-        engine.connect(a, 0, b, 0, Cycle::new(4)).unwrap();
-        engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
-        engine.run_for(Cycle::new(128)).unwrap();
-        let v = arrivals.lock().clone();
-        v
-    };
-    let seq = run(1);
+fn one_worker_matches_two_to_four() {
+    let one = probe_arrivals(1, 16, None);
     for threads in 2..=4 {
-        assert_eq!(run(threads), seq, "threads {threads}");
+        assert_eq!(probe_arrivals(threads, 16, None), one, "threads {threads}");
     }
 }
 
 #[test]
-fn parallel_matches_sequential_with_adversarial_weights() {
-    // Weights only steer the partitioner; results must not move.
-    let run = |threads: usize, weights: &[u64]| {
-        let arrivals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut engine = Engine::new(4);
-        engine
-            .set_host_threads(threads)
-            .set_host_oversubscribe(true);
-        engine.set_chunk_rounds(2); // force several repartition-eligible chunks
-        let s = engine.add_agent(Box::new(OneShot {
-            at: 7,
-            fired: false,
-        }));
-        let p = engine.add_agent(Box::new(Probe {
-            arrivals: arrivals.clone(),
-        }));
-        let a = engine.add_agent(Box::new(Pulser::new(8)));
-        let b = engine.add_agent(Box::new(Pulser::new(8)));
-        for (id, w) in [s, p, a, b].into_iter().zip(weights) {
-            engine.set_agent_weight(id, *w);
-        }
-        engine.connect(s, 0, p, 0, Cycle::new(12)).unwrap();
-        engine.connect(a, 0, b, 0, Cycle::new(4)).unwrap();
-        engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
-        engine.run_for(Cycle::new(128)).unwrap();
-        let v = arrivals.lock().clone();
-        v
-    };
-    let baseline = run(1, &[1, 1, 1, 1]);
+fn one_worker_matches_two_to_four_with_adversarial_weights() {
+    // Weights only steer the partitioner; results must not move. Two-round
+    // chunks make several chunk boundaries fall inside the run.
+    let baseline = probe_arrivals(1, 2, Some([1, 1, 1, 1]));
     for weights in [
         [1u64, 1, 1, 1],
         [u64::MAX, 1, 1, 1],
@@ -221,9 +250,43 @@ fn parallel_matches_sequential_with_adversarial_weights() {
         [7, 3, 100, 1],
     ] {
         for threads in 2..=4 {
-            assert_eq!(run(threads, &weights), baseline, "{threads} {weights:?}");
+            let got = probe_arrivals(threads, 2, Some(weights));
+            assert_eq!(got, baseline, "{threads} {weights:?}");
         }
     }
+}
+
+/// What single-thread speed rests on: a one-worker run steps every agent
+/// on the calling thread and spawns nothing. With two workers, worker 0 is
+/// still the calling thread and the other one is not.
+#[test]
+fn one_worker_steps_every_agent_on_the_calling_thread() {
+    let stepping_threads = |threads: usize| {
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut engine = Engine::new(4);
+        engine
+            .set_host_threads(threads)
+            .set_host_oversubscribe(true);
+        let spy = || {
+            let seen = Arc::clone(&seen);
+            scripted("spy", move |_| {
+                seen.lock().push(std::thread::current().id())
+            })
+        };
+        let (a, b) = (engine.add_agent(spy()), engine.add_agent(spy()));
+        engine.connect(a, 0, b, 0, Cycle::new(4)).unwrap();
+        engine.connect(b, 0, a, 0, Cycle::new(4)).unwrap();
+        engine.run_until_done(Cycle::new(64)).unwrap();
+        let seen = seen.lock().clone();
+        seen
+    };
+    let caller = std::thread::current().id();
+    let one = stepping_threads(1);
+    assert_eq!(one.len(), 2 * 16);
+    assert!(one.iter().all(|&t| t == caller));
+    let two = stepping_threads(2);
+    assert!(two.contains(&caller));
+    assert!(two.iter().any(|&t| t != caller));
 }
 
 #[test]
@@ -250,15 +313,7 @@ fn lpt_balances_and_is_deterministic() {
 fn run_until_done_stops_early() {
     let mut engine = Engine::new(4);
     engine.set_chunk_rounds(2);
-    let arrivals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let s = engine.add_agent(Box::new(OneShot {
-        at: 3,
-        fired: false,
-    }));
-    let p = engine.add_agent(Box::new(Probe {
-        arrivals: arrivals.clone(),
-    }));
-    engine.connect(s, 0, p, 0, Cycle::new(4)).unwrap();
+    let arrivals = shot_into_probe(&mut engine, 3, 4);
     // Probe is never "done"... it has no done override, defaults false.
     // So run_until_done will run to max. Use a short max.
     let summary = engine.run_until_done(Cycle::new(40)).unwrap();
@@ -271,31 +326,20 @@ fn parallel_reports_min_rounds_across_workers() {
     // All-done termination at a chunk boundary: every worker agrees on
     // the same boundary, and the reported cycle count must reflect the
     // minimum rounds completed by ANY worker (not worker 0's view).
-    struct Done;
-    impl SimAgent for Done {
-        type Token = u64;
-        fn name(&self) -> &str {
-            "done"
-        }
-        fn num_inputs(&self) -> usize {
-            1
-        }
-        fn num_outputs(&self) -> usize {
-            1
-        }
-        fn advance(&mut self, ctx: &mut AgentCtx<u64>) {
-            for _ in ctx.drain_input(0) {}
-        }
-        fn done(&self) -> bool {
-            true
-        }
-    }
     let mut engine = Engine::new(4);
     engine
         .set_host_threads(4)
         .set_host_oversubscribe(true)
         .set_chunk_rounds(2);
-    let ids: Vec<AgentId> = (0..4).map(|_| engine.add_agent(Box::new(Done))).collect();
+    let done = || {
+        Box::new(Scripted {
+            name: "done",
+            outputs: 1,
+            done: true,
+            step: |_| {},
+        })
+    };
+    let ids: Vec<AgentId> = (0..4).map(|_| engine.add_agent(done())).collect();
     for i in 0..4 {
         engine
             .connect(ids[i], 0, ids[(i + 1) % 4], 0, Cycle::new(4))
@@ -343,12 +387,8 @@ fn bad_latency_is_error() {
 
 #[test]
 fn stop_handle_stops_at_boundary() {
-    let mut engine: Engine<u64> = Engine::new(4);
+    let mut engine = pulser_ring(4, [4, 4], 4);
     engine.set_chunk_rounds(1);
-    let a = engine.add_agent(Box::new(Pulser::new(4)));
-    let b = engine.add_agent(Box::new(Pulser::new(4)));
-    engine.connect(a, 0, b, 0, Cycle::new(4)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(4)).unwrap();
     let handle = engine.stop_handle();
     handle.stop();
     // Stop is reset at run start; set it again from a thread during run.
@@ -360,44 +400,23 @@ fn stop_handle_stops_at_boundary() {
 
 #[test]
 fn run_for_rounds_up_to_window() {
-    let mut engine: Engine<u64> = Engine::new(8);
-    let a = engine.add_agent(Box::new(Pulser::new(4)));
-    let b = engine.add_agent(Box::new(Pulser::new(4)));
-    engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
+    let mut engine = pulser_ring(8, [4, 4], 8);
     let summary = engine.run_for(Cycle::new(10)).unwrap();
     assert_eq!(summary.cycles, Cycle::new(16));
 }
 
 #[test]
 fn panicking_agent_does_not_deadlock_peers() {
-    struct Bomb {
-        after: u64,
-    }
-    impl SimAgent for Bomb {
-        type Token = u64;
-        fn name(&self) -> &str {
-            "bomb"
-        }
-        fn num_inputs(&self) -> usize {
-            1
-        }
-        fn num_outputs(&self) -> usize {
-            1
-        }
-        fn advance(&mut self, ctx: &mut AgentCtx<u64>) {
-            for _ in ctx.drain_input(0) {}
-            if ctx.now().as_u64() >= self.after {
-                panic!("boom at {}", ctx.now().as_u64());
-            }
-        }
-    }
     let mut engine = Engine::new(4);
     engine
         .set_host_threads(3)
         .set_host_oversubscribe(true)
         .set_chunk_rounds(4);
-    let bomb = engine.add_agent(Box::new(Bomb { after: 32 }));
+    let bomb = engine.add_agent(scripted("bomb", |now| {
+        if now.as_u64() >= 32 {
+            panic!("boom at {}", now.as_u64());
+        }
+    }));
     let a = engine.add_agent(Box::new(Pulser::new(4)));
     let b = engine.add_agent(Box::new(Pulser::new(4)));
     engine.connect(bomb, 0, a, 0, Cycle::new(4)).unwrap();
@@ -423,12 +442,7 @@ fn panicking_agent_does_not_deadlock_peers() {
 
 /// A two-pulser ring whose agents support checkpointing.
 fn checkpointable_ring() -> Engine<u64> {
-    let mut engine: Engine<u64> = Engine::new(4);
-    let a = engine.add_agent(Box::new(Pulser::new(4)));
-    let b = engine.add_agent(Box::new(Pulser::new(6)));
-    engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
-    engine
+    pulser_ring(4, [4, 6], 8)
 }
 
 #[test]
@@ -486,11 +500,7 @@ fn restore_rejects_mismatched_topology() {
     let cp = engine.checkpoint().unwrap();
 
     // Wrong window.
-    let mut other: Engine<u64> = Engine::new(8);
-    let a = other.add_agent(Box::new(Pulser::new(4)));
-    let b = other.add_agent(Box::new(Pulser::new(6)));
-    other.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    other.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
+    let mut other = pulser_ring(8, [4, 6], 8);
     assert!(matches!(
         other.restore(&cp),
         Err(SimError::Checkpoint { .. })
@@ -551,14 +561,7 @@ fn restore_by_name_rejects_window_and_name_mismatch() {
 
     // Engine agent absent from the checkpoint.
     let mut other: Engine<u64> = Engine::new(4);
-    let shot = other.add_agent(Box::new(OneShot {
-        at: 0,
-        fired: false,
-    }));
-    let probe = other.add_agent(Box::new(Probe {
-        arrivals: std::sync::Arc::new(parking_lot::Mutex::new(Vec::new())),
-    }));
-    other.connect(shot, 0, probe, 0, Cycle::new(8)).unwrap();
+    shot_into_probe(&mut other, 0, 8);
     let err = other.restore_by_name(&cp).unwrap_err();
     assert!(
         err.to_string().contains("no agent named"),
@@ -727,14 +730,10 @@ fn worker_stall_fault_delays_but_completes() {
 /// every field of the profile is analytically known.
 #[test]
 fn metrics_profile_matches_ground_truth() {
-    let mut engine: Engine<u64> = Engine::new(8);
-    let a = engine.add_agent(Box::new(Pulser::new(16)));
-    let b = engine.add_agent(Box::new(Pulser::new(16)));
-    engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
+    let mut engine = pulser_ring(8, [16, 16], 8);
     let reg = engine.enable_metrics();
     engine.run_for(Cycle::new(64)).unwrap();
-    for id in [a, b] {
+    for id in engine.agent_ids() {
         let p = engine.agent_profile(id);
         assert_eq!(p.rounds, 8);
         assert_eq!(p.target_cycles, 64);
@@ -829,15 +828,11 @@ fn link_occupancies_satisfy_latency_invariant() {
 
 #[test]
 fn tracing_captures_agent_and_sync_spans() {
-    let mut engine: Engine<u64> = Engine::new(4);
+    let mut engine = checkpointable_ring();
     engine
         .set_host_threads(2)
         .set_host_oversubscribe(true)
         .set_chunk_rounds(2);
-    let a = engine.add_agent(Box::new(Pulser::new(4)));
-    let b = engine.add_agent(Box::new(Pulser::new(6)));
-    engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
     let tracer = engine.enable_tracing();
     // run_until_done votes at every chunk boundary, so barrier spans
     // appear even without a repartition.
@@ -856,17 +851,20 @@ fn tracing_captures_agent_and_sync_spans() {
 }
 
 /// Drives `out -> inp` like a `manager::partition` transport pump, but
-/// in-process: the degenerate "transport" is a direct hand-off.
+/// in-process: the degenerate "transport" is a direct hand-off. Counts
+/// the windows it has delivered into `delivered`.
 fn pump(
     out: BoundaryOutput<u64>,
     inp: BoundaryInput<u64>,
     halt: Arc<AtomicBool>,
+    delivered: Arc<AtomicU64>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         while let Ok(Some(w)) = out.drain_or_halt(&halt) {
             if !matches!(inp.inject_or_halt(w, &halt), Ok(None)) {
                 break;
             }
+            delivered.fetch_add(1, Ordering::Release);
         }
     })
 }
@@ -876,13 +874,9 @@ fn pump(
 /// the §III-B2 partitioning invariant at its smallest scale.
 #[test]
 fn boundary_ports_match_monolithic_ring() {
-    let run_monolithic = || {
-        let mut engine = Engine::new(8);
-        let a = engine.add_agent(Box::new(Pulser::new(16)));
-        let b = engine.add_agent(Box::new(Pulser::new(24)));
-        engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-        engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
-        engine.run_for(Cycle::new(64)).unwrap();
+    let run_monolithic = |cycles: u64| {
+        let mut engine = pulser_ring(8, [16, 24], 8);
+        engine.run_for(Cycle::new(cycles)).unwrap();
         engine.checkpoint().unwrap().agent_digests()
     };
 
@@ -898,8 +892,8 @@ fn boundary_ports_match_monolithic_ring() {
 
         let halt = Arc::new(AtomicBool::new(false));
         let pumps = [
-            pump(out_a, in_b, Arc::clone(&halt)),
-            pump(out_b, in_a, Arc::clone(&halt)),
+            pump(out_a, in_b, Arc::clone(&halt), Arc::default()),
+            pump(out_b, in_a, Arc::clone(&halt), Arc::default()),
         ];
         let t1 = std::thread::spawn(move || {
             e1.run_for(Cycle::new(64)).unwrap();
@@ -915,20 +909,68 @@ fn boundary_ports_match_monolithic_ring() {
         digests
     };
 
-    let mono = run_monolithic();
+    let mono = run_monolithic(64);
     let split = run_split();
     assert_eq!(mono, split);
     assert_eq!(combined_digest(&mono), combined_digest(&split));
     // And the digest is actually sensitive to state: a different run
     // length must differ.
-    let mut engine = Engine::new(8);
-    let a = engine.add_agent(Box::new(Pulser::new(16)));
-    let b = engine.add_agent(Box::new(Pulser::new(24)));
-    engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
-    engine.connect(b, 0, a, 0, Cycle::new(8)).unwrap();
-    engine.run_for(Cycle::new(128)).unwrap();
-    let longer = engine.checkpoint().unwrap().agent_digests();
+    let longer = run_monolithic(128);
     assert_ne!(combined_digest(&mono), combined_digest(&longer));
+}
+
+/// A peer shard already a window into its next run has injected that
+/// window when this shard's run ends. The quiesce wait accepts the
+/// surplus, so the end-of-run invariant check (always on in debug builds)
+/// must accept it too — and the next run consumes it.
+#[test]
+fn boundary_input_ahead_by_a_leg_is_quiescent() {
+    /// Rounds per run ("leg").
+    const LEG: u64 = 8;
+
+    let delivered = Arc::new(AtomicU64::new(0));
+    let mut slow: Engine<u64> = Engine::new(8);
+    let mut peer: Engine<u64> = Engine::new(8);
+    // In the last round of the first leg the sink waits for the peer's
+    // first window of the second leg, so that window is in flight when the
+    // leg ends.
+    let seen = Arc::clone(&delivered);
+    let sink = slow.add_agent(Box::new(Scripted {
+        name: "laggard",
+        outputs: 0,
+        done: false,
+        step: move |now| {
+            if now == Cycle::new((LEG - 1) * 8) {
+                while seen.load(Ordering::Acquire) <= LEG {
+                    std::thread::yield_now();
+                }
+            }
+        },
+    }));
+    let source = peer.add_agent(Box::new(OneShot {
+        at: 3,
+        fired: false,
+    }));
+    let inp = slow.connect_external_input(sink, 0, Cycle::new(8)).unwrap();
+    let out = peer
+        .connect_external_output(source, 0, Cycle::new(8))
+        .unwrap();
+    let halt = Arc::new(AtomicBool::new(false));
+    let pumped = pump(out, inp, Arc::clone(&halt), Arc::clone(&delivered));
+    let ahead = std::thread::spawn(move || {
+        for _ in 0..2 {
+            peer.run_for(Cycle::new(LEG * 8)).unwrap();
+        }
+    });
+
+    slow.run_for(Cycle::new(LEG * 8)).unwrap();
+    assert_eq!(slow.link_occupancies()[0].in_flight_tokens, 16);
+    slow.verify_token_invariant().unwrap();
+    slow.run_for(Cycle::new(LEG * 8)).unwrap();
+    ahead.join().unwrap();
+    assert_eq!(slow.link_occupancies()[0].in_flight_tokens, 8);
+    halt.store(true, Ordering::Release);
+    pumped.join().unwrap();
 }
 
 /// The seed windows of an external *output* are drained at creation:
@@ -991,29 +1033,14 @@ fn restore_refuses_a_boundary_input_its_peer_already_fed() {
     assert_eq!(engine.link_occupancies()[0].in_flight_tokens, 16);
 }
 
-/// One input, one output, no work: every host cycle spent stepping it
-/// is hand-off cost.
-struct Idle;
-
-impl SimAgent for Idle {
-    type Token = u64;
-    fn name(&self) -> &str {
-        "idle"
-    }
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn advance(&mut self, _ctx: &mut AgentCtx<u64>) {}
-}
-
-/// Runs a 64-agent ring of [`Idle`]s for 1 000 rounds and returns every
-/// link's `(parks, wakes_issued)`.
+/// Runs a 64-agent ring of idle agents for 1 000 rounds and returns every
+/// link's `(parks, wakes_issued)`: every host cycle spent stepping an idle
+/// agent is hand-off cost.
 fn idle_ring_wake_counts(threads: usize) -> Vec<(u64, u64)> {
     let mut engine: Engine<u64> = Engine::new(8);
-    let ids: Vec<_> = (0..64).map(|_| engine.add_agent(Box::new(Idle))).collect();
+    let ids: Vec<_> = (0..64)
+        .map(|_| engine.add_agent(scripted("idle", |_| {})))
+        .collect();
     for (i, &src) in ids.iter().enumerate() {
         let dst = ids[(i + 1) % ids.len()];
         engine.connect(src, 0, dst, 0, Cycle::new(8)).unwrap();
@@ -1053,16 +1080,8 @@ fn two_thread_ring_wakes_only_parked_waiters() {
 #[test]
 fn tracing_does_not_change_results() {
     let run = |trace: bool| {
-        let arrivals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut engine = Engine::new(4);
-        let s = engine.add_agent(Box::new(OneShot {
-            at: 7,
-            fired: false,
-        }));
-        let p = engine.add_agent(Box::new(Probe {
-            arrivals: arrivals.clone(),
-        }));
-        engine.connect(s, 0, p, 0, Cycle::new(12)).unwrap();
+        let arrivals = shot_into_probe(&mut engine, 7, 12);
         if trace {
             engine.enable_tracing();
             engine.enable_metrics();

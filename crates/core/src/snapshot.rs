@@ -396,6 +396,11 @@ impl<S: Snapshot> Snapshot for TokenWindow<S> {
     }
     fn load(r: &mut SnapshotReader<'_>) -> SimResult<Self> {
         let len = r.get_u32()?;
+        if len == 0 {
+            return Err(SimError::checkpoint(
+                "token window snapshot covers zero cycles",
+            ));
+        }
         let mut win = TokenWindow::new(len);
         let n = r.get_usize()?;
         for _ in 0..n {

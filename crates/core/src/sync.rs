@@ -8,12 +8,12 @@
 //!   every peer that is or will be waiting instead of deadlocking them.
 //!   `std::sync::Barrier` has no way out of `wait`.
 //! * **Leader election per epoch** — exactly one waiter per generation is
-//!   told it is the leader, so once-per-chunk decisions (e.g. recomputing
-//!   the agent partition) run on exactly one thread while the others wait
-//!   for the *same* generation to complete. With the generation counter a
-//!   single `wait` call both publishes each worker's pre-barrier writes
-//!   and orders them before every post-barrier read, which is what lets
-//!   the engine run one barrier per chunk instead of two.
+//!   told it is the leader, so once-per-generation decisions run on exactly
+//!   one thread while the others wait for the *same* generation to
+//!   complete. With the generation counter a single `wait` call both
+//!   publishes each worker's pre-barrier writes and orders them before
+//!   every post-barrier read, which is what lets the engine's chunk votes
+//!   take one barrier per chunk instead of two.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 

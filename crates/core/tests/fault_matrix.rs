@@ -1,20 +1,14 @@
 //! Faulty-agent matrix: an injected agent panic in the first, middle, or
 //! last chunk of a run, across 1, 2, and 8 host workers, must never
-//! deadlock — every worker joins promptly and the error names the faulting
-//! agent and cycle, not an innocent peer.
-
-use std::time::{Duration, Instant};
+//! deadlock — `run_for` returning at all proves every scoped worker joined
+//! — and the error names the faulting agent and cycle, not an innocent
+//! peer.
 
 use firesim_core::{AgentCtx, Cycle, Engine, FaultPlan, SimAgent, SimError};
 
 const WINDOW: u32 = 4;
 const CHUNK_ROUNDS: u64 = 4;
 const TOTAL_ROUNDS: u64 = 64;
-
-/// A maximum wall-clock bound that is generous for a healthy teardown but
-/// far below what a deadlocked join would burn (the halt poll interval is
-/// sub-millisecond).
-const WATCHDOG: Duration = Duration::from_secs(10);
 
 struct Relay;
 
@@ -74,16 +68,7 @@ fn injected_panic_matrix_no_deadlock_correct_attribution() {
             plan.panic_at(4usize, panic_cycle);
             engine.set_fault_plan(plan);
 
-            let started = Instant::now();
-            let result = engine.run_for(Cycle::new(horizon));
-            let elapsed = started.elapsed();
-            // run_for returning at all proves every worker joined (the
-            // engine uses scoped threads); bound how long that took.
-            assert!(
-                elapsed < WATCHDOG,
-                "teardown took {elapsed:?} (cycle {panic_cycle}, {threads} workers)"
-            );
-            match result {
+            match engine.run_for(Cycle::new(horizon)) {
                 Err(SimError::AgentPanicked {
                     agent,
                     cycle,
@@ -150,10 +135,7 @@ fn injected_channel_drop_matrix_no_deadlock() {
         let mut plan = FaultPlan::new(threads as u64);
         plan.drop_channel(7usize, 0, drop_cycle);
         engine.set_fault_plan(plan);
-        let started = Instant::now();
-        let result = engine.run_for(Cycle::new(TOTAL_ROUNDS * u64::from(WINDOW)));
-        assert!(started.elapsed() < WATCHDOG, "{threads} workers");
-        match result {
+        match engine.run_for(Cycle::new(TOTAL_ROUNDS * u64::from(WINDOW))) {
             Err(SimError::Agent { agent, detail }) => {
                 assert_eq!(agent, "relay", "{threads} workers");
                 assert!(detail.contains("channel drop"), "detail: {detail}");

@@ -474,4 +474,18 @@ mod tests {
         d.feed(&wire);
         assert!(d.next_frame::<u64>().is_err());
     }
+
+    #[test]
+    fn token_frame_zero_length_window_rejected() {
+        // A window off the wire claiming to cover zero cycles is a typed
+        // error for the pump to report, not a panic that kills it.
+        let mut wire = encode_token_frame(5, &window(8, &[]));
+        wire[12..16].copy_from_slice(&0u32.to_le_bytes());
+        let mut d = TokenDeframer::new();
+        d.feed(&wire);
+        assert!(matches!(
+            d.next_frame::<u64>(),
+            Err(SimError::Checkpoint { .. })
+        ));
+    }
 }
