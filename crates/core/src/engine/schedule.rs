@@ -303,24 +303,16 @@ impl<T: Send + 'static> Engine<T> {
             host_cores()
         };
         let threads = self.host_threads.min(cores).min(self.agents.len()).max(1);
-        let rounds_run = match self.run_workers(rounds, stoppable, threads, &faults) {
-            Ok(r) => {
-                if self.abort.load(Ordering::Acquire) {
-                    return Err(self.abort_error());
-                }
-                r
-            }
-            Err(e) => {
-                // An abort wakes blocked workers by halting them, which
-                // surfaces as ChannelClosed on their side; report the abort
-                // (the cause), not the wake-up mechanics (the symptom) —
-                // unless a more diagnostic error was recorded.
-                if self.abort.load(Ordering::Acquire) && e.severity() <= 1 {
-                    return Err(self.abort_error());
-                }
-                return Err(e);
-            }
-        };
+        let result = self.run_workers(rounds, stoppable, threads, &faults);
+        // An abort wakes blocked workers by halting them, which surfaces as
+        // ChannelClosed on their side; report the abort (the cause), not the
+        // wake-up mechanics (the symptom) — unless a more diagnostic error
+        // was recorded.
+        let symptom = result.as_ref().err().is_none_or(|e| e.severity() <= 1);
+        if self.abort.load(Ordering::Acquire) && symptom {
+            return Err(self.abort_error());
+        }
+        let rounds_run = result?;
         // With cross-process boundary inputs, the local agents can finish
         // their rounds while the last windows of the peer's matching output
         // are still in transit; wait for the pumps to deliver them so the
