@@ -1772,6 +1772,238 @@ mod tests {
         );
     }
 
+    /// A flat memory that totals the cycles a timing layer reports
+    /// through [`Bus::elapse_timing_cycles`].
+    struct Elapsed {
+        mem: Memory,
+        cycles: u64,
+    }
+
+    impl Bus for Elapsed {
+        fn load(&mut self, addr: u64, size: usize) -> Result<u64, MemFault> {
+            self.mem.load(addr, size)
+        }
+        fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), MemFault> {
+            self.mem.store(addr, size, value)
+        }
+        fn fetch(&mut self, addr: u64) -> Result<u32, MemFault> {
+            self.mem.fetch(addr)
+        }
+        fn code_generation(&self, addr: u64) -> Option<u64> {
+            self.mem.code_generation(addr)
+        }
+        fn write_generation(&self) -> u64 {
+            self.mem.write_generation()
+        }
+        fn elapse_timing_cycles(&mut self, cycles: u64) {
+            self.cycles += cycles;
+        }
+    }
+
+    const TIMED_TRAP_EXTRA: u64 = 3;
+
+    /// The cost model of the `run_timed` differential test: static extras
+    /// memoized in the decode-cache annotation (`extra + 1`), dynamic
+    /// extras from taken branches and from the access address and issue
+    /// cycle, and a stop requested at one PC (the leaf's `xor`).
+    fn timed_test_cost(
+        inst: &Inst,
+        annot: u16,
+        taken_branch: bool,
+        mem: Option<&MemAccess>,
+        now: u64,
+    ) -> TimedStep {
+        let (fixed, memo) = if annot != 0 {
+            (u64::from(annot - 1), 0)
+        } else {
+            let extra = match inst {
+                Inst::MulDiv { .. } => 3,
+                Inst::Jal { .. } | Inst::Jalr { .. } => 2,
+                _ => 0,
+            };
+            (extra, extra as u16 + 1)
+        };
+        let dynamic = u64::from(taken_branch) + mem.map_or(0, |m| (m.addr / 8 + now) % 5);
+        TimedStep {
+            extra: fixed + dynamic,
+            stop: matches!(inst, Inst::Op { rd: 14, .. }),
+            annot: memo,
+        }
+    }
+
+    /// The per-cycle caller loop `run_timed` is specified against: every
+    /// cycle bumps `mcycle`; an issue cycle runs one `step_cached` and
+    /// charges its cost, stalling `extra` cycles before the next issue.
+    struct PerCycle {
+        cpu: Cpu,
+        bus: Elapsed,
+        cache: DecodeCache,
+        cycle: u64,
+        stall: u64,
+        stops: u64,
+        parked: bool,
+    }
+
+    impl PerCycle {
+        fn cycle(&mut self) {
+            let now = self.cycle;
+            self.cycle += 1;
+            self.cpu.csrs.mcycle = self.cpu.csrs.mcycle.wrapping_add(1);
+            self.bus.elapse_timing_cycles(1);
+            if self.stall > 0 {
+                self.stall -= 1;
+                return;
+            }
+            assert!(!self.parked, "reference ran past its WFI");
+            match self.cpu.step_cached(&mut self.bus, &mut self.cache).unwrap() {
+                StepOutcome::Retired {
+                    pc,
+                    inst,
+                    taken_branch,
+                    mem,
+                    ..
+                } => {
+                    let annot = self.cache.annotation(pc);
+                    let ts = timed_test_cost(&inst, annot, taken_branch, mem.as_ref(), now);
+                    if ts.annot != 0 {
+                        self.cache.set_annotation(pc, ts.annot);
+                    }
+                    self.stops += u64::from(ts.stop);
+                    self.stall = ts.extra;
+                }
+                StepOutcome::Trapped { .. } => self.stall = TIMED_TRAP_EXTRA,
+                StepOutcome::Wfi => self.parked = true,
+            }
+        }
+    }
+
+    /// `run_timed` against the per-cycle `step_cached` loop it documents,
+    /// in lockstep: after every dispatch (budgets of 1, 7 and 13 cycles,
+    /// the carried stall served first as `TimingCore::advance` does), pc,
+    /// registers, `mcycle`, `minstret`, carried stall and the cycles
+    /// reported to the bus must agree. The program is
+    /// `run_cached_matches_step_exactly`'s plus a load access fault, and
+    /// a timer interrupt is pending and enabled at entry.
+    #[test]
+    fn run_timed_matches_step_cached_exactly() {
+        let mut a = Assembler::new(BASE);
+        a.j("main");
+        // The handler sits at BASE + 4 so `mtvec` can point at it before
+        // the first instruction. It masks every interrupt (the entry
+        // timer line stays pending) and resumes interrupts at `mepc`,
+        // exceptions after it.
+        a.label("handler");
+        a.csrw(csr_addr::MIE, 0);
+        a.csrr(7, csr_addr::MCAUSE);
+        a.blt(7, 0, "resume");
+        a.csrr(7, csr_addr::MEPC);
+        a.addi(7, 7, 4);
+        a.csrw(csr_addr::MEPC, 7);
+        a.label("resume");
+        a.mret();
+        a.label("main");
+        a.la(5, "handler");
+        a.csrw(csr_addr::MTVEC, 5);
+        a.li(2, BASE as i64 + 0x8000); // stack
+        a.li(21, BASE as i64 + 0x4000); // data
+        a.li(10, 1);
+        a.li(6, 12);
+        a.label("loop");
+        a.mul(10, 10, 6);
+        a.sd(10, 21, 0);
+        a.ld(11, 21, 0);
+        a.amoadd_d(12, 11, 21);
+        a.call("leaf");
+        a.addi(6, 6, -1);
+        a.bnez(6, "loop");
+        a.li(15, 0x1000);
+        a.ld(16, 15, 0); // unmapped: load access fault
+        a.ecall();
+        a.li(13, 99);
+        a.wfi();
+        a.label("leaf");
+        a.xor(14, 10, 11);
+        a.ret();
+        let image = a.assemble().unwrap();
+
+        let fresh = || {
+            let mut mem = Memory::new(BASE, 1 << 20);
+            mem.write_bytes(BASE, &image).unwrap();
+            let mut cpu = Cpu::new(0, BASE);
+            cpu.csrs.mtvec = BASE + 4;
+            cpu.csrs.mie = 1 << Interrupt::Timer.bit();
+            cpu.csrs.mstatus |= crate::csr::mstatus::MIE;
+            cpu.csrs.set_interrupt(Interrupt::Timer, true);
+            (cpu, Elapsed { mem, cycles: 0 }, DecodeCache::new())
+        };
+        let (cpu, bus, cache) = fresh();
+        let mut reference = PerCycle {
+            cpu,
+            bus,
+            cache,
+            cycle: 0,
+            stall: 0,
+            stops: 0,
+            parked: false,
+        };
+        let (mut cpu, mut bus, mut cache) = fresh();
+        let (mut total, mut stall, mut stops, mut memo_hits) = (0u64, 0u64, 0u64, 0u64);
+        for chunk in 0.. {
+            let budget = [1u64, 7, 13][chunk % 3];
+            let burned = stall.min(budget);
+            cpu.csrs.mcycle = cpu.csrs.mcycle.wrapping_add(burned);
+            bus.elapse_timing_cycles(burned);
+            stall -= burned;
+            let mut used = burned;
+            let mut parked = false;
+            if used < budget {
+                let span_base = total + used;
+                let summary = cpu.run_timed(
+                    &mut bus,
+                    &mut cache,
+                    budget - used,
+                    TIMED_TRAP_EXTRA,
+                    |_pc, inst, annot, taken_branch, mem, span_cycles| {
+                        memo_hits += u64::from(annot != 0);
+                        timed_test_cost(inst, annot, taken_branch, mem, span_base + span_cycles)
+                    },
+                );
+                used += summary.cycles;
+                stall = summary.stall;
+                match summary.stopped {
+                    TimedStop::Budget => assert_eq!(used, budget, "chunk {chunk}"),
+                    TimedStop::Device => stops += 1,
+                    TimedStop::Wfi => parked = true,
+                }
+            }
+            total += used;
+            for _ in 0..used {
+                reference.cycle();
+            }
+            let r = &reference;
+            assert_eq!(cpu.pc, r.cpu.pc, "pc, chunk {chunk}");
+            assert_eq!(cpu.regs, r.cpu.regs, "registers, chunk {chunk}");
+            assert_eq!(cpu.csrs.mcycle, r.cpu.csrs.mcycle, "mcycle, chunk {chunk}");
+            assert_eq!(
+                cpu.csrs.minstret, r.cpu.csrs.minstret,
+                "minstret, chunk {chunk}"
+            );
+            assert_eq!(stall, r.stall, "carried stall, chunk {chunk}");
+            assert_eq!(bus.cycles, r.bus.cycles, "elapsed cycles, chunk {chunk}");
+            assert_eq!(total, r.cycle);
+            if parked {
+                break;
+            }
+            assert!(total < 100_000, "timed runaway");
+        }
+        assert!(reference.parked, "reference did not park with run_timed");
+        assert_eq!(stops, reference.stops, "device stops diverge");
+        assert_eq!(stops, 12, "one stop per leaf call");
+        assert_eq!(cpu.read_reg(13), 99, "program must complete");
+        assert_eq!(cpu.csrs.mcause, 11, "last trap is the ecall");
+        assert!(memo_hits > 0, "annotations never served");
+    }
+
     #[test]
     fn x0_is_hardwired_zero() {
         let (cpu, _) = run_program(
