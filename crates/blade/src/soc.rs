@@ -453,6 +453,20 @@ impl RtlBlade {
         }
     }
 
+    /// LR/SC coherence for the stores core `i` just performed, in order:
+    /// each clobbers the other harts' reservations on its line and shoots
+    /// the line down in their L1s.
+    fn publish_stores(&mut self, i: usize) {
+        for &addr in &self.store_scratch {
+            for (j, other) in self.cores.iter_mut().enumerate() {
+                if j != i {
+                    other.cpu_mut().clobber_reservation(addr);
+                }
+            }
+            self.memsys.shootdown(addr, Some(i));
+        }
+    }
+
     /// One powered-on reference cycle after the wiring: tick each core,
     /// then the DMA devices and the CLINT.
     fn tick_cores_and_devices(&mut self) {
@@ -470,18 +484,8 @@ impl RtlBlade {
                 device_lag: &mut self.device_lag,
             };
             let ev = self.cores[i].tick(&mut bus, &mut self.memsys, i, self.cycle);
-            if let TickEvent::Issued(_) = ev {
-                // LR/SC coherence: stores clobber other harts'
-                // reservations and shoot down their L1 lines.
-                for k in 0..self.store_scratch.len() {
-                    let addr = self.store_scratch[k];
-                    for (j, other) in self.cores.iter_mut().enumerate() {
-                        if j != i {
-                            other.cpu_mut().clobber_reservation(addr);
-                        }
-                    }
-                    self.memsys.shootdown(addr, Some(i));
-                }
+            if let TickEvent::Issued = ev {
+                self.publish_stores(i);
             }
         }
         self.blockdev.tick(&mut self.mem);
@@ -670,19 +674,10 @@ impl RtlBlade {
                     device_lag: &mut self.device_lag,
                 };
                 let used = self.cores[i].advance(&mut bus, &mut self.memsys, i, self.cycle, budget);
-                // LR/SC coherence for every store in the span, in order.
-                // Deferring past the span end is exact: the other cores
-                // never run inside it and `shootdown` only flips their
-                // L1 valid bits (no stats, no LRU movement).
-                for k in 0..self.store_scratch.len() {
-                    let addr = self.store_scratch[k];
-                    for (j, other) in self.cores.iter_mut().enumerate() {
-                        if j != i {
-                            other.cpu_mut().clobber_reservation(addr);
-                        }
-                    }
-                    self.memsys.shootdown(addr, Some(i));
-                }
+                // Deferring coherence past the span end is exact: the
+                // other cores never run inside it and `shootdown` only
+                // flips their L1 valid bits (no stats, no LRU movement).
+                self.publish_stores(i);
                 for (j, core) in self.cores.iter_mut().enumerate() {
                     if j != i {
                         core.skip(used);
@@ -889,18 +884,9 @@ impl RtlBlade {
                     device_lag: &mut self.device_lag,
                 };
                 let _ = self.cores[i].fast_forward(&mut bus, budget);
-                // LR/SC coherence, as in the batched span: deferring the
-                // clobbers and shoot-downs to the end of the burst is
-                // exact because no other core runs inside it.
-                for k in 0..self.store_scratch.len() {
-                    let addr = self.store_scratch[k];
-                    for (j, other) in self.cores.iter_mut().enumerate() {
-                        if j != i {
-                            other.cpu_mut().clobber_reservation(addr);
-                        }
-                    }
-                    self.memsys.shootdown(addr, Some(i));
-                }
+                // Deferred to the end of the burst, exact as in the
+                // batched span: no other core runs inside it.
+                self.publish_stores(i);
             }
         }
     }

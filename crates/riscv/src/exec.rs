@@ -147,26 +147,209 @@ pub struct TimedSummary {
     pub stopped: TimedStop,
 }
 
-/// Folds up to `extra` stall cycles into a [`Cpu::run_timed`] dispatch
-/// right after an issue cycle, exactly as a per-cycle caller would:
-/// `mcycle` advances with the folded span and the bus observes it as one
-/// contiguous gap. Returns the part that overran the budget, which the
-/// caller carries as residual stall.
-#[inline]
-fn fold_stall<B: Bus>(
-    bus: &mut B,
-    csrs: &mut CsrFile,
-    cycles: &mut u64,
-    budget: u64,
-    extra: u64,
-) -> u64 {
-    let fold = extra.min(budget - *cycles);
-    if fold > 0 {
-        csrs.mcycle = csrs.mcycle.wrapping_add(fold);
-        *cycles += fold;
-        bus.elapse_timing_cycles(fold);
+/// What a hot run ([`Cpu::hot_run`]) counts against its budget and
+/// hands back. The one superblock loop is generic over it, so it
+/// monomorphises into [`Cpu::run_cached`] (instructions) and
+/// [`Cpu::run_timed`] (cycles). A method returning `Some` ends the run
+/// with that summary.
+trait Accounting {
+    type Summary;
+    /// True while the budget admits another issue.
+    fn has_budget(&self) -> bool;
+    /// An issue begins, before the interrupt poll.
+    fn issue(&mut self, csrs: &mut CsrFile);
+    /// The instruction at `pc` retired; `annot` is the annotation of the
+    /// decode-cache slot that served it (0 when none did).
+    #[allow(clippy::too_many_arguments)]
+    fn retire<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        csrs: &mut CsrFile,
+        cache: &mut DecodeCache,
+        pc: u64,
+        inst: &Inst,
+        annot: u16,
+        taken_branch: bool,
+        mem: Option<&MemAccess>,
+    ) -> Option<Self::Summary>;
+    /// A trap (exception or polled interrupt) redirected the PC.
+    fn trap<B: Bus>(&mut self, bus: &mut B, csrs: &mut CsrFile) -> Option<Self::Summary>;
+    /// The run ends: the core parked in WFI, or the budget ran out.
+    fn finish<B: Bus>(&mut self, bus: &mut B, wfi: bool) -> Self::Summary;
+}
+
+/// [`Cpu::run_cached`]'s accounting: an instruction budget; a trap or a
+/// WFI ends the run.
+struct Counted {
+    retired: u64,
+    max_insts: u64,
+}
+
+impl Accounting for Counted {
+    type Summary = BlockSummary;
+
+    #[inline(always)]
+    fn has_budget(&self) -> bool {
+        self.retired < self.max_insts
     }
-    extra - fold
+
+    #[inline(always)]
+    fn issue(&mut self, _: &mut CsrFile) {}
+
+    #[inline(always)]
+    fn retire<B: Bus>(
+        &mut self,
+        _: &mut B,
+        _: &mut CsrFile,
+        _: &mut DecodeCache,
+        _: u64,
+        _: &Inst,
+        _: u16,
+        _: bool,
+        _: Option<&MemAccess>,
+    ) -> Option<BlockSummary> {
+        self.retired += 1;
+        None
+    }
+
+    #[inline(always)]
+    fn trap<B: Bus>(&mut self, _: &mut B, _: &mut CsrFile) -> Option<BlockSummary> {
+        Some(BlockSummary {
+            retired: self.retired,
+            stopped: BlockStop::Trapped,
+        })
+    }
+
+    #[inline(always)]
+    fn finish<B: Bus>(&mut self, _: &mut B, wfi: bool) -> BlockSummary {
+        BlockSummary {
+            retired: self.retired,
+            stopped: if wfi {
+                BlockStop::Wfi
+            } else {
+                BlockStop::Budget
+            },
+        }
+    }
+}
+
+/// [`Cpu::run_timed`]'s accounting: a cycle budget, `mcycle` bumped per
+/// issue, each retire charged through `cost_of` and each trap
+/// `1 + trap_extra` cycles; a trap does not end the run.
+struct Clocked<F> {
+    cycles: u64,
+    budget: u64,
+    trap_extra: u64,
+    cost_of: F,
+}
+
+impl<F> Clocked<F> {
+    /// Closes an issue cycle, then serves `extra` stall cycles exactly as
+    /// a per-cycle caller would: folded into this run as one contiguous
+    /// gap the bus observes, `mcycle` advancing with it. A `stop` hands
+    /// the whole stall back unfolded; stall beyond the budget is handed
+    /// back for the caller to carry.
+    #[inline(always)]
+    fn end_issue<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        csrs: &mut CsrFile,
+        extra: u64,
+        stop: bool,
+    ) -> Option<TimedSummary> {
+        self.cycles += 1;
+        bus.elapse_timing_cycles(1);
+        if stop {
+            return Some(TimedSummary {
+                cycles: self.cycles,
+                stall: extra,
+                stopped: TimedStop::Device,
+            });
+        }
+        let fold = extra.min(self.budget - self.cycles);
+        if fold > 0 {
+            csrs.mcycle = csrs.mcycle.wrapping_add(fold);
+            self.cycles += fold;
+            bus.elapse_timing_cycles(fold);
+        }
+        (fold < extra).then_some(TimedSummary {
+            cycles: self.cycles,
+            stall: extra - fold,
+            stopped: TimedStop::Budget,
+        })
+    }
+}
+
+impl<F> Accounting for Clocked<F>
+where
+    F: FnMut(u64, &Inst, u16, bool, Option<&MemAccess>, u64) -> TimedStep,
+{
+    type Summary = TimedSummary;
+
+    #[inline(always)]
+    fn has_budget(&self) -> bool {
+        self.cycles < self.budget
+    }
+
+    #[inline(always)]
+    fn issue(&mut self, csrs: &mut CsrFile) {
+        csrs.mcycle = csrs.mcycle.wrapping_add(1);
+    }
+
+    #[inline(always)]
+    fn retire<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        csrs: &mut CsrFile,
+        cache: &mut DecodeCache,
+        pc: u64,
+        inst: &Inst,
+        annot: u16,
+        taken_branch: bool,
+        mem: Option<&MemAccess>,
+    ) -> Option<TimedSummary> {
+        let step = (self.cost_of)(pc, inst, annot, taken_branch, mem, self.cycles);
+        if step.annot != 0 {
+            cache.set_annotation(pc, step.annot);
+        }
+        self.end_issue(bus, csrs, step.extra, step.stop)
+    }
+
+    #[inline(always)]
+    fn trap<B: Bus>(&mut self, bus: &mut B, csrs: &mut CsrFile) -> Option<TimedSummary> {
+        self.end_issue(bus, csrs, self.trap_extra, false)
+    }
+
+    #[inline(always)]
+    fn finish<B: Bus>(&mut self, bus: &mut B, wfi: bool) -> TimedSummary {
+        if wfi {
+            // The parking cycle counts.
+            self.cycles += 1;
+            bus.elapse_timing_cycles(1);
+        }
+        TimedSummary {
+            cycles: self.cycles,
+            stall: 0,
+            stopped: if wfi {
+                TimedStop::Wfi
+            } else {
+                TimedStop::Budget
+            },
+        }
+    }
+}
+
+/// What [`Cpu::execute_hot`] did with one decode-cache-served instruction.
+enum Hot {
+    /// Retired through the fast-path PC update.
+    Retired {
+        taken_branch: bool,
+        mem: Option<MemAccess>,
+    },
+    /// A load or store faulted; the trap has been taken.
+    Trapped,
+    /// Not a hot instruction: nothing was applied.
+    Cold,
 }
 
 /// Architectural state of one RV64IMA hart.
@@ -344,259 +527,35 @@ impl Cpu {
     ///
     /// Semantics are identical to calling
     /// [`step_cached`](Self::step_cached) `max_insts` times and stopping
-    /// at the first
-    /// non-`Retired` outcome: interrupts are polled before every
-    /// instruction and every instruction goes through the same execute
-    /// path. Only the per-step outcome *reporting* is elided, which is
-    /// what makes this the high-throughput entry point — use it when no
-    /// per-instruction timing information is needed (functional warm-up,
-    /// ISA-level benchmarking); use `step_cached` when a timing model
-    /// consumes each [`StepOutcome`].
+    /// at the first non-`Retired` outcome (see [`hot_run`](Self::hot_run)
+    /// for why the elided per-instruction work is unobservable). Only the
+    /// per-step outcome *reporting* is dropped, which is what makes this
+    /// the high-throughput entry point — use it when no per-instruction
+    /// timing information is needed (functional warm-up, ISA-level
+    /// benchmarking); use `step_cached` when a timing model consumes each
+    /// [`StepOutcome`].
     pub fn run_cached<B: Bus>(
         &mut self,
         bus: &mut B,
         cache: &mut DecodeCache,
         max_insts: u64,
     ) -> BlockSummary {
-        let mut retired = 0u64;
-        // Instructions already counted into `minstret`; the hot arms defer
-        // the increment and the difference `retired - flushed` is folded
-        // in at every hot-loop exit. Sound because nothing inside a hot
-        // run can observe `minstret`: only a CSR instruction reads it, and
-        // CSR instructions take the `other` arm, which flushes first.
-        let mut flushed = 0u64;
-        // The interrupt poll is likewise hoisted out of the hot arms:
-        // `self.csrs` is unreachable from the bus (a disjoint borrow,
-        // wired to devices outside this call), so between two polls the
-        // interrupt state can only change through the CPU's own CSR
-        // instructions and traps — all of which leave the hot loop and
-        // re-enter the poll before the next instruction. Polling once per
-        // hot run is therefore observationally identical to
-        // `step_cached`'s per-instruction poll.
-        'poll: while retired < max_insts {
-            if let Some(line) = self.csrs.pending_interrupt() {
-                let cause = line.cause();
-                let handler = self.csrs.trap_enter(self.pc, cause, 0);
-                self.pc = handler;
-                cache.end_superblock();
-                self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-                return BlockSummary {
-                    retired,
-                    stopped: BlockStop::Trapped,
-                };
-            }
-
-            while retired < max_insts {
-                let pc = self.pc;
-                let cached = if pc.is_multiple_of(4) {
-                    cache.lookup(pc, bus)
-                } else {
-                    None
-                };
-                let Some((word, inst, _)) = cached else {
-                    // Slow path: misaligned PC, uncacheable fetch, fault,
-                    // or illegal word — one full interpreter step, which
-                    // counts its own retire, so flush the deferred ones
-                    // first.
-                    cache.end_superblock();
-                    self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-                    flushed = retired;
-                    let outcome = self.fetch_decode_execute(bus);
-                    Self::superblock_bookkeeping(cache, pc, &outcome);
-                    match outcome {
-                        StepOutcome::Retired { .. } => {
-                            retired += 1;
-                            flushed += 1;
-                            continue 'poll;
-                        }
-                        StepOutcome::Trapped { .. } => {
-                            return BlockSummary {
-                                retired,
-                                stopped: BlockStop::Trapped,
-                            };
-                        }
-                        StepOutcome::Wfi => {
-                            return BlockSummary {
-                                retired,
-                                stopped: BlockStop::Wfi,
-                            };
-                        }
-                    }
-                };
-
-                // Lean dispatch of the hot arms: semantics are kept in
-                // lockstep with `execute` (locked by the
-                // `run_cached_matches_step_exactly` differential test);
-                // only the per-instruction outcome reporting is elided.
-                // Everything else funnels through `execute` itself.
-                match inst {
-                    Inst::OpImm {
-                        op,
-                        rd,
-                        rs1,
-                        imm,
-                        word,
-                    } => {
-                        let v = alu(op, self.read_reg(rs1), imm as u64, word);
-                        self.write_reg(rd, v);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Op {
-                        op,
-                        rd,
-                        rs1,
-                        rs2,
-                        word,
-                    } => {
-                        let v = alu(op, self.read_reg(rs1), self.read_reg(rs2), word);
-                        self.write_reg(rd, v);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::MulDiv {
-                        op,
-                        rd,
-                        rs1,
-                        rs2,
-                        word,
-                    } => {
-                        let v = muldiv(op, self.read_reg(rs1), self.read_reg(rs2), word);
-                        self.write_reg(rd, v);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Lui { rd, imm } => {
-                        self.write_reg(rd, imm as u64);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Auipc { rd, imm } => {
-                        self.write_reg(rd, pc.wrapping_add(imm as u64));
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Jal { rd, imm } => {
-                        self.write_reg(rd, pc.wrapping_add(4));
-                        self.retire_jump(cache, pc.wrapping_add(imm as u64));
-                    }
-                    Inst::Jalr { rd, rs1, imm } => {
-                        let target = self.read_reg(rs1).wrapping_add(imm as u64) & !1;
-                        self.write_reg(rd, pc.wrapping_add(4));
-                        self.retire_jump(cache, target);
-                    }
-                    Inst::Branch {
-                        cond,
-                        rs1,
-                        rs2,
-                        imm,
-                    } => {
-                        let a = self.read_reg(rs1);
-                        let b = self.read_reg(rs2);
-                        let take = match cond {
-                            BranchCond::Eq => a == b,
-                            BranchCond::Ne => a != b,
-                            BranchCond::Lt => (a as i64) < (b as i64),
-                            BranchCond::Ge => (a as i64) >= (b as i64),
-                            BranchCond::Ltu => a < b,
-                            BranchCond::Geu => a >= b,
-                        };
-                        if take {
-                            self.retire_jump(cache, pc.wrapping_add(imm as u64));
-                        } else {
-                            self.retire_linear(cache, pc);
-                        }
-                    }
-                    Inst::Load {
-                        width,
-                        signed,
-                        rd,
-                        rs1,
-                        imm,
-                    } => {
-                        let addr = self.read_reg(rs1).wrapping_add(imm as u64);
-                        let size = width.bytes();
-                        match bus.load(addr, size) {
-                            Ok(raw) => {
-                                let value = if signed { sign_extend(raw, size) } else { raw };
-                                self.write_reg(rd, value);
-                                self.retire_linear(cache, pc);
-                            }
-                            Err(f) => {
-                                self.trap(Trap::LoadAccessFault, f.addr);
-                                cache.end_superblock();
-                                self.csrs.minstret =
-                                    self.csrs.minstret.wrapping_add(retired - flushed);
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Trapped,
-                                };
-                            }
-                        }
-                    }
-                    Inst::Store {
-                        width,
-                        rs2,
-                        rs1,
-                        imm,
-                    } => {
-                        let addr = self.read_reg(rs1).wrapping_add(imm as u64);
-                        let size = width.bytes();
-                        match bus.store(addr, size, self.read_reg(rs2)) {
-                            Ok(()) => self.retire_linear(cache, pc),
-                            Err(f) => {
-                                self.trap(Trap::StoreAccessFault, f.addr);
-                                cache.end_superblock();
-                                self.csrs.minstret =
-                                    self.csrs.minstret.wrapping_add(retired - flushed);
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Trapped,
-                                };
-                            }
-                        }
-                    }
-                    other => {
-                        // Rare instructions (AMO, CSR, fences, system)
-                        // keep the single source of truth in `execute`;
-                        // it counts its own retire and may read or write
-                        // any CSR, so flush first and re-poll after.
-                        self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-                        flushed = retired;
-                        let outcome = self.execute(pc, word, other, bus);
-                        Self::superblock_bookkeeping(cache, pc, &outcome);
-                        match outcome {
-                            StepOutcome::Retired { .. } => {
-                                retired += 1;
-                                flushed += 1;
-                                continue 'poll;
-                            }
-                            StepOutcome::Trapped { .. } => {
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Trapped,
-                                };
-                            }
-                            StepOutcome::Wfi => {
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Wfi,
-                                };
-                            }
-                        }
-                    }
-                }
-                retired += 1;
-            }
-        }
-        self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-        BlockSummary {
-            retired,
-            stopped: BlockStop::Budget,
-        }
+        self.hot_run(
+            bus,
+            cache,
+            Counted {
+                retired: 0,
+                max_insts,
+            },
+        )
     }
 
     /// Runs up to `budget` *cycles* through the decode-cache fast path as
     /// one superblock dispatch, charging each instruction's cycle cost
-    /// via `cost_of` — the timed sibling of [`run_cached`](Self::run_cached),
-    /// built for single-issue timing layers that would otherwise pay a
-    /// full [`step_cached`](Self::step_cached) round trip (outcome
-    /// materialization included) per instruction.
+    /// via `cost_of` — the timed sibling of [`run_cached`](Self::run_cached)
+    /// over the same loop, built for single-issue timing layers that would
+    /// otherwise pay a full [`step_cached`](Self::step_cached) round trip
+    /// (outcome materialization included) per instruction.
     ///
     /// Semantics are bit-identical to a caller loop that, per cycle,
     /// bumps `mcycle`, calls `step_cached`, charges
@@ -619,93 +578,76 @@ impl Cpu {
     ///   caller owns parked/idle bookkeeping;
     /// * stall cycles that overrun the budget are returned in
     ///   [`TimedSummary::stall`] for the caller to carry.
-    ///
-    /// `minstret` is deferred across hot retires with the same
-    /// observability argument as [`run_cached`](Self::run_cached): only
-    /// CSR instructions read it, and they funnel through the cold arm,
-    /// which flushes first.
     pub fn run_timed<B: Bus, F>(
         &mut self,
         bus: &mut B,
         cache: &mut DecodeCache,
         budget: u64,
         trap_extra: u64,
-        mut cost_of: F,
+        cost_of: F,
     ) -> TimedSummary
     where
         F: FnMut(u64, &Inst, u16, bool, Option<&MemAccess>, u64) -> TimedStep,
     {
-        let mut cycles = 0u64;
-        let mut pending_retires = 0u64;
+        self.hot_run(
+            bus,
+            cache,
+            Clocked {
+                cycles: 0,
+                budget,
+                trap_extra,
+                cost_of,
+            },
+        )
+    }
 
-        // The tails are macros rather than helpers so `return` and
-        // `continue` act on `run_timed`'s own loop; both only reference
-        // locals already in scope here.
-        macro_rules! trap_tail {
-            () => {{
-                cycles += 1;
-                bus.elapse_timing_cycles(1);
-                let residual = fold_stall(bus, &mut self.csrs, &mut cycles, budget, trap_extra);
-                if residual > 0 {
-                    self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
-                    return TimedSummary {
-                        cycles,
-                        stall: residual,
-                        stopped: TimedStop::Budget,
-                    };
-                }
+    /// The one superblock loop behind [`run_cached`](Self::run_cached)
+    /// and [`run_timed`](Self::run_timed), monomorphised per
+    /// [`Accounting`]. Hot instructions run through
+    /// [`execute_hot`](Self::execute_hot); everything else takes one cold
+    /// step through the interpreter, so trap logic stays in one place.
+    ///
+    /// Two host-side shortcuts make it fast, and neither is observable:
+    ///
+    /// * `minstret` is deferred across hot retires and folded in before
+    ///   every cold step and at every exit. Nothing inside a hot run can
+    ///   read it: only a CSR instruction does, and CSR instructions are
+    ///   cold.
+    /// * The interrupt poll is hoisted out of the hot run. `self.csrs` is
+    ///   unreachable from the bus (device state changed by an MMIO access
+    ///   feeds back only through the caller's interrupt wiring, outside
+    ///   this call) and hot arms never write CSRs, so between two polls
+    ///   interrupt state changes only through cold steps and traps — all
+    ///   of which return to the poll before the next issue. Every skipped
+    ///   poll provably returns `None`.
+    #[inline(always)]
+    fn hot_run<B: Bus, A: Accounting>(
+        &mut self,
+        bus: &mut B,
+        cache: &mut DecodeCache,
+        mut acct: A,
+    ) -> A::Summary {
+        let mut deferred = 0u64;
+        // Every exit folds the deferred retires into `minstret` first.
+        macro_rules! exit {
+            ($summary:expr) => {{
+                let summary = $summary;
+                self.csrs.minstret = self.csrs.minstret.wrapping_add(deferred);
+                return summary;
             }};
         }
-        macro_rules! retire_tail {
-            ($ts:expr, $pc:expr) => {{
-                let ts: TimedStep = $ts;
-                if ts.annot != 0 {
-                    cache.set_annotation($pc, ts.annot);
-                }
-                cycles += 1;
-                bus.elapse_timing_cycles(1);
-                if ts.stop {
-                    self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
-                    return TimedSummary {
-                        cycles,
-                        stall: ts.extra,
-                        stopped: TimedStop::Device,
-                    };
-                }
-                let residual = fold_stall(bus, &mut self.csrs, &mut cycles, budget, ts.extra);
-                if residual > 0 {
-                    self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
-                    return TimedSummary {
-                        cycles,
-                        stall: residual,
-                        stopped: TimedStop::Budget,
-                    };
-                }
-            }};
-        }
 
-        'poll: while cycles < budget {
-            // The issue cycle begins: `mcycle` first, then the interrupt
-            // poll, exactly like the per-cycle loop.
-            self.csrs.mcycle = self.csrs.mcycle.wrapping_add(1);
+        'poll: while acct.has_budget() {
+            acct.issue(&mut self.csrs);
             if let Some(line) = self.csrs.pending_interrupt() {
-                let cause = line.cause();
-                let handler = self.csrs.trap_enter(self.pc, cause, 0);
-                self.pc = handler;
+                self.pc = self.csrs.trap_enter(self.pc, line.cause(), 0);
                 cache.end_superblock();
-                trap_tail!();
-                continue 'poll;
+                if let Some(summary) = acct.trap(bus, &mut self.csrs) {
+                    exit!(summary);
+                }
+                continue;
             }
 
-            // Interrupt-free hot run. Between hot retires nothing can
-            // change `mip`/`mie`/`mstatus`: hot arms never write CSRs,
-            // and the bus cannot reach them (device state changed by an
-            // MMIO load/store only feeds back through the caller's
-            // interrupt wiring, outside this call). So the poll above is
-            // hoisted out of this inner loop — every skipped poll
-            // provably returns `None` — and every path that *can*
-            // perturb interrupt state (cold step, trap) exits to
-            // `'poll`, same argument as `run_cached`.
             loop {
                 let pc = self.pc;
                 let served = if pc.is_multiple_of(4) {
@@ -713,182 +655,44 @@ impl Cpu {
                 } else {
                     None
                 };
-                // Hot arms retire inline (mirroring `run_cached`, locked by
-                // the same differential tests); anything else falls through
-                // to one cold interpreter step below.
-                let mut cold: Option<(u32, Inst)> = None;
+                let mut cold = None;
                 let mut served_annot = 0u16;
                 if let Some((word, inst, annot)) = served {
                     served_annot = annot;
-                    let hot: Option<(bool, Option<MemAccess>)> = match inst {
-                        Inst::OpImm {
-                            op,
-                            rd,
-                            rs1,
-                            imm,
-                            word,
-                        } => {
-                            let v = alu(op, self.read_reg(rs1), imm as u64, word);
-                            self.write_reg(rd, v);
-                            self.retire_linear(cache, pc);
-                            Some((false, None))
-                        }
-                        Inst::Op {
-                            op,
-                            rd,
-                            rs1,
-                            rs2,
-                            word,
-                        } => {
-                            let v = alu(op, self.read_reg(rs1), self.read_reg(rs2), word);
-                            self.write_reg(rd, v);
-                            self.retire_linear(cache, pc);
-                            Some((false, None))
-                        }
-                        Inst::MulDiv {
-                            op,
-                            rd,
-                            rs1,
-                            rs2,
-                            word,
-                        } => {
-                            let v = muldiv(op, self.read_reg(rs1), self.read_reg(rs2), word);
-                            self.write_reg(rd, v);
-                            self.retire_linear(cache, pc);
-                            Some((false, None))
-                        }
-                        Inst::Lui { rd, imm } => {
-                            self.write_reg(rd, imm as u64);
-                            self.retire_linear(cache, pc);
-                            Some((false, None))
-                        }
-                        Inst::Auipc { rd, imm } => {
-                            self.write_reg(rd, pc.wrapping_add(imm as u64));
-                            self.retire_linear(cache, pc);
-                            Some((false, None))
-                        }
-                        Inst::Jal { rd, imm } => {
-                            self.write_reg(rd, pc.wrapping_add(4));
-                            self.retire_jump(cache, pc.wrapping_add(imm as u64));
-                            Some((false, None))
-                        }
-                        Inst::Jalr { rd, rs1, imm } => {
-                            let target = self.read_reg(rs1).wrapping_add(imm as u64) & !1;
-                            self.write_reg(rd, pc.wrapping_add(4));
-                            self.retire_jump(cache, target);
-                            Some((false, None))
-                        }
-                        Inst::Branch {
-                            cond,
-                            rs1,
-                            rs2,
-                            imm,
-                        } => {
-                            let a = self.read_reg(rs1);
-                            let b = self.read_reg(rs2);
-                            let take = match cond {
-                                BranchCond::Eq => a == b,
-                                BranchCond::Ne => a != b,
-                                BranchCond::Lt => (a as i64) < (b as i64),
-                                BranchCond::Ge => (a as i64) >= (b as i64),
-                                BranchCond::Ltu => a < b,
-                                BranchCond::Geu => a >= b,
-                            };
-                            if take {
-                                self.retire_jump(cache, pc.wrapping_add(imm as u64));
-                            } else {
-                                self.retire_linear(cache, pc);
+                    match self.execute_hot(pc, inst, bus, cache) {
+                        Hot::Retired { taken_branch, mem } => {
+                            deferred += 1;
+                            let csrs = &mut self.csrs;
+                            let mem = mem.as_ref();
+                            if let Some(summary) =
+                                acct.retire(bus, csrs, cache, pc, &inst, annot, taken_branch, mem)
+                            {
+                                exit!(summary);
                             }
-                            Some((take, None))
-                        }
-                        Inst::Load {
-                            width,
-                            signed,
-                            rd,
-                            rs1,
-                            imm,
-                        } => {
-                            let addr = self.read_reg(rs1).wrapping_add(imm as u64);
-                            let size = width.bytes();
-                            match bus.load(addr, size) {
-                                Ok(raw) => {
-                                    let value = if signed { sign_extend(raw, size) } else { raw };
-                                    self.write_reg(rd, value);
-                                    self.retire_linear(cache, pc);
-                                    Some((
-                                        false,
-                                        Some(MemAccess {
-                                            addr,
-                                            size,
-                                            is_store: false,
-                                            is_amo: false,
-                                        }),
-                                    ))
-                                }
-                                Err(f) => {
-                                    self.trap(Trap::LoadAccessFault, f.addr);
-                                    cache.end_superblock();
-                                    trap_tail!();
-                                    continue 'poll;
-                                }
+                            if !acct.has_budget() {
+                                break 'poll;
                             }
+                            // The next issue stays in the hot run: the
+                            // poll is skipped (see above).
+                            acct.issue(&mut self.csrs);
+                            continue;
                         }
-                        Inst::Store {
-                            width,
-                            rs2,
-                            rs1,
-                            imm,
-                        } => {
-                            let addr = self.read_reg(rs1).wrapping_add(imm as u64);
-                            let size = width.bytes();
-                            match bus.store(addr, size, self.read_reg(rs2)) {
-                                Ok(()) => {
-                                    self.retire_linear(cache, pc);
-                                    Some((
-                                        false,
-                                        Some(MemAccess {
-                                            addr,
-                                            size,
-                                            is_store: true,
-                                            is_amo: false,
-                                        }),
-                                    ))
-                                }
-                                Err(f) => {
-                                    self.trap(Trap::StoreAccessFault, f.addr);
-                                    cache.end_superblock();
-                                    trap_tail!();
-                                    continue 'poll;
-                                }
+                        Hot::Trapped => {
+                            if let Some(summary) = acct.trap(bus, &mut self.csrs) {
+                                exit!(summary);
                             }
+                            continue 'poll;
                         }
-                        other => {
-                            cold = Some((word, other));
-                            None
-                        }
-                    };
-                    if let Some((taken_branch, mem_acc)) = hot {
-                        pending_retires += 1;
-                        retire_tail!(
-                            cost_of(pc, &inst, annot, taken_branch, mem_acc.as_ref(), cycles),
-                            pc
-                        );
-                        if cycles >= budget {
-                            break 'poll;
-                        }
-                        // Next issue cycle within the hot run: `mcycle`
-                        // advances, the poll is skipped (see above).
-                        self.csrs.mcycle = self.csrs.mcycle.wrapping_add(1);
-                        continue;
+                        Hot::Cold => cold = Some((word, inst)),
                     }
                 }
 
                 // Cold step: a decoded-but-rare instruction (AMO, CSR,
                 // fence, system) through `execute`, or the full slow path
-                // for misaligned/uncacheable/illegal fetches. `execute` may
-                // read any CSR and counts its own retire, so flush first.
-                self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
-                pending_retires = 0;
+                // for misaligned/uncacheable/illegal fetches. It counts
+                // its own retire and may read any CSR, so flush first.
+                self.csrs.minstret = self.csrs.minstret.wrapping_add(deferred);
+                deferred = 0;
                 let outcome = match cold {
                     Some((word, inst)) => self.execute(pc, word, inst, bus),
                     None => {
@@ -897,48 +701,159 @@ impl Cpu {
                     }
                 };
                 Self::superblock_bookkeeping(cache, pc, &outcome);
-                match outcome {
+                let end = match outcome {
                     StepOutcome::Retired {
-                        pc,
                         inst,
                         taken_branch,
                         mem,
                         ..
                     } => {
-                        retire_tail!(
-                            cost_of(pc, &inst, served_annot, taken_branch, mem.as_ref(), cycles),
-                            pc
-                        );
+                        let csrs = &mut self.csrs;
+                        let mem = mem.as_ref();
+                        acct.retire(bus, csrs, cache, pc, &inst, served_annot, taken_branch, mem)
                     }
-                    StepOutcome::Trapped { .. } => trap_tail!(),
-                    StepOutcome::Wfi => {
-                        cycles += 1;
-                        bus.elapse_timing_cycles(1);
-                        return TimedSummary {
-                            cycles,
-                            stall: 0,
-                            stopped: TimedStop::Wfi,
-                        };
-                    }
+                    StepOutcome::Trapped { .. } => acct.trap(bus, &mut self.csrs),
+                    StepOutcome::Wfi => Some(acct.finish(bus, true)),
+                };
+                if let Some(summary) = end {
+                    exit!(summary);
                 }
                 // A cold step may have perturbed interrupt state: re-poll.
                 continue 'poll;
             }
         }
-        self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
-        TimedSummary {
-            cycles,
-            stall: 0,
-            stopped: TimedStop::Budget,
-        }
+        exit!(acct.finish(bus, false))
     }
 
-    /// Fast-path retire of a fall-through instruction at `pc`: advance
-    /// the PC and move the superblock cursor (only valid within one page —
-    /// crossing a page boundary re-validates through the page generation
-    /// on the next lookup). `minstret` is deferred by the caller.
+    /// The hot arms — ALU, multiply/divide, upper immediates, jumps,
+    /// branches, loads and stores — for an instruction the decode cache
+    /// served at `pc`. Semantics are [`execute`](Self::execute)'s (the
+    /// differential tests hold the two together) minus the outcome
+    /// reporting: the superblock cursor moves as
+    /// [`superblock_bookkeeping`](Self::superblock_bookkeeping) would
+    /// and `minstret` is left to the caller. Any other instruction comes
+    /// back [`Hot::Cold`] with no effect applied.
     #[inline(always)]
-    fn retire_linear(&mut self, cache: &mut DecodeCache, pc: u64) {
+    fn execute_hot<B: Bus>(
+        &mut self,
+        pc: u64,
+        inst: Inst,
+        bus: &mut B,
+        cache: &mut DecodeCache,
+    ) -> Hot {
+        let mut mem = None;
+        match inst {
+            Inst::OpImm {
+                op,
+                rd,
+                rs1,
+                imm,
+                word,
+            } => {
+                let v = alu(op, self.read_reg(rs1), imm as u64, word);
+                self.write_reg(rd, v);
+            }
+            Inst::Op {
+                op,
+                rd,
+                rs1,
+                rs2,
+                word,
+            } => {
+                let v = alu(op, self.read_reg(rs1), self.read_reg(rs2), word);
+                self.write_reg(rd, v);
+            }
+            Inst::MulDiv {
+                op,
+                rd,
+                rs1,
+                rs2,
+                word,
+            } => {
+                let v = muldiv(op, self.read_reg(rs1), self.read_reg(rs2), word);
+                self.write_reg(rd, v);
+            }
+            Inst::Lui { rd, imm } => self.write_reg(rd, imm as u64),
+            Inst::Auipc { rd, imm } => self.write_reg(rd, pc.wrapping_add(imm as u64)),
+            Inst::Jal { rd, imm } => {
+                self.write_reg(rd, pc.wrapping_add(4));
+                return self.hot_jump(cache, pc.wrapping_add(imm as u64), false);
+            }
+            Inst::Jalr { rd, rs1, imm } => {
+                let target = self.read_reg(rs1).wrapping_add(imm as u64) & !1;
+                self.write_reg(rd, pc.wrapping_add(4));
+                return self.hot_jump(cache, target, false);
+            }
+            Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                imm,
+            } => {
+                let a = self.read_reg(rs1);
+                let b = self.read_reg(rs2);
+                let take = match cond {
+                    BranchCond::Eq => a == b,
+                    BranchCond::Ne => a != b,
+                    BranchCond::Lt => (a as i64) < (b as i64),
+                    BranchCond::Ge => (a as i64) >= (b as i64),
+                    BranchCond::Ltu => a < b,
+                    BranchCond::Geu => a >= b,
+                };
+                if take {
+                    return self.hot_jump(cache, pc.wrapping_add(imm as u64), true);
+                }
+            }
+            Inst::Load {
+                width,
+                signed,
+                rd,
+                rs1,
+                imm,
+            } => {
+                let addr = self.read_reg(rs1).wrapping_add(imm as u64);
+                let size = width.bytes();
+                let raw = match bus.load(addr, size) {
+                    Ok(v) => v,
+                    Err(f) => {
+                        self.trap(Trap::LoadAccessFault, f.addr);
+                        cache.end_superblock();
+                        return Hot::Trapped;
+                    }
+                };
+                self.write_reg(rd, if signed { sign_extend(raw, size) } else { raw });
+                mem = Some(MemAccess {
+                    addr,
+                    size,
+                    is_store: false,
+                    is_amo: false,
+                });
+            }
+            Inst::Store {
+                width,
+                rs2,
+                rs1,
+                imm,
+            } => {
+                let addr = self.read_reg(rs1).wrapping_add(imm as u64);
+                let size = width.bytes();
+                if let Err(f) = bus.store(addr, size, self.read_reg(rs2)) {
+                    self.trap(Trap::StoreAccessFault, f.addr);
+                    cache.end_superblock();
+                    return Hot::Trapped;
+                }
+                mem = Some(MemAccess {
+                    addr,
+                    size,
+                    is_store: true,
+                    is_amo: false,
+                });
+            }
+            _ => return Hot::Cold,
+        }
+        // Fall-through retire: the cursor follows only onto the same
+        // page (crossing one re-validates through the page generation on
+        // the next lookup).
         let next_pc = pc.wrapping_add(4);
         self.pc = next_pc;
         if next_pc / crate::mem::PAGE_SIZE == pc / crate::mem::PAGE_SIZE {
@@ -946,15 +861,22 @@ impl Cpu {
         } else {
             cache.end_superblock();
         }
+        Hot::Retired {
+            taken_branch: false,
+            mem,
+        }
     }
 
-    /// Fast-path retire of a taken control-flow instruction: redirect the
-    /// PC and end the superblock (the cursor never follows jumps).
-    /// `minstret` is deferred by the caller.
+    /// Hot retire of a taken control transfer: redirect the PC and end
+    /// the superblock (the cursor never follows jumps).
     #[inline(always)]
-    fn retire_jump(&mut self, cache: &mut DecodeCache, target: u64) {
+    fn hot_jump(&mut self, cache: &mut DecodeCache, target: u64, taken_branch: bool) -> Hot {
         self.pc = target;
         cache.end_superblock();
+        Hot::Retired {
+            taken_branch,
+            mem: None,
+        }
     }
 
     /// Phases 2-4 of [`step`](Self::step): fetch, decode, execute.
@@ -1855,7 +1777,11 @@ mod tests {
                 return;
             }
             assert!(!self.parked, "reference ran past its WFI");
-            match self.cpu.step_cached(&mut self.bus, &mut self.cache).unwrap() {
+            match self
+                .cpu
+                .step_cached(&mut self.bus, &mut self.cache)
+                .unwrap()
+            {
                 StepOutcome::Retired {
                     pc,
                     inst,

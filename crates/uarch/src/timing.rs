@@ -137,16 +137,106 @@ impl TimingConfig {
     pub fn is_cacheable(&self, addr: u64) -> bool {
         addr >= self.cacheable_base && addr - self.cacheable_base < self.cacheable_size
     }
+
+    /// The cost model of one retired instruction, shared by every issue
+    /// path ([`TimingCore::tick`], and both the per-cycle branch and the
+    /// [`Cpu::run_timed`] callback of [`TimingCore::advance`]). The cost
+    /// is one issue cycle plus: the fetch beyond a pipelined L1I hit; the
+    /// static execute extra; the taken-branch penalty; the data access.
+    ///
+    /// The static extra is a pure function of the decoded instruction, so
+    /// it is memoized in the decode-cache slot that served the fetch as
+    /// `extra + 1`: `annot` is that slot's value (0 = not yet computed),
+    /// and a fresh value comes back in [`TimedStep::annot`]. The slot
+    /// guard (`tag == pc`, annotation reset on fill) makes a nonzero
+    /// annotation always describe this exact instruction.
+    ///
+    /// [`TimedStep::stop`] marks an instruction that left the frozen
+    /// environment of a batched span: an MMIO fetch or data access, or an
+    /// access to `mip` (whose software-writable bit the next wiring would
+    /// overwrite).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn charge(
+        &self,
+        mem: &mut MemSystem,
+        core_idx: usize,
+        now: u64,
+        pc: u64,
+        inst: &Inst,
+        annot: u16,
+        taken_branch: bool,
+        acc: Option<&MemAccess>,
+    ) -> TimedStep {
+        let mut cost = 1u64;
+        let mut stop = !self.is_cacheable(pc);
+        if !stop {
+            let lat = mem.access(core_idx, AccessKind::Fetch, pc, now);
+            cost += lat - mem.config().l1_hit_cycles;
+        }
+        let mut memo = 0u16;
+        if annot != 0 {
+            cost += u64::from(annot - 1);
+        } else {
+            let extra = match inst {
+                Inst::MulDiv { op, .. } => {
+                    let is_div = matches!(
+                        op,
+                        MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu
+                    );
+                    if is_div {
+                        self.div_cycles - 1
+                    } else {
+                        self.mul_cycles - 1
+                    }
+                }
+                Inst::Jal { .. } | Inst::Jalr { .. } => self.jump_penalty,
+                _ => 0,
+            };
+            cost += extra;
+            memo = u16::try_from(extra + 1).unwrap_or(0);
+        }
+        // Dynamic (only `Branch` sets the flag), so never memoized.
+        if taken_branch {
+            cost += self.branch_taken_penalty;
+        }
+        if let Some(a) = acc {
+            if self.is_cacheable(a.addr) {
+                let kind = if a.is_amo {
+                    AccessKind::Amo
+                } else if a.is_store {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                let lat = mem.access(core_idx, kind, a.addr, now);
+                cost += match kind {
+                    // Store hits retire through the store buffer.
+                    AccessKind::Store if lat == mem.config().l1_hit_cycles => 0,
+                    AccessKind::Amo => lat + self.amo_extra_cycles,
+                    _ => lat,
+                };
+            } else {
+                cost += self.mmio_cycles;
+                stop = true;
+            }
+        }
+        stop |= matches!(inst, Inst::Csr { csr, .. } if *csr == firesim_riscv::csr::addr::MIP);
+        TimedStep {
+            extra: cost - 1,
+            stop,
+            annot: memo,
+        }
+    }
 }
 
 /// What one [`TimingCore::tick`] produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickEvent {
     /// The core is stalled mid-instruction.
     Busy,
-    /// An instruction began this cycle (its functional effect is applied);
-    /// the outcome is attached for the SoC to observe.
-    Issued(StepOutcome),
+    /// An instruction began this cycle (its functional effect is applied).
+    Issued,
     /// The core is parked in WFI.
     Idle,
 }
@@ -375,7 +465,7 @@ impl TimingCore {
     /// *after* the offending cycle, exactly like the per-cycle loop
     /// would) whenever an issued instruction touches anything outside
     /// that frozen environment: an MMIO fetch, a non-cacheable data
-    /// access, or a CSR write to `mip` (whose software-writable bit the
+    /// access, or a CSR access to `mip` (whose software-writable bit the
     /// per-cycle wiring would overwrite on the next cycle). Stores to
     /// ordinary memory accumulate on the bus for the caller to process —
     /// reservation clobbers and L1 shoot-downs of *other* cores commute
@@ -412,13 +502,12 @@ impl TimingCore {
             }
             // Superblock fast path: single-issue with the decode cache
             // on and tracing off dispatches the whole remaining budget
-            // through the functional core's superblock loop, with the
-            // cost model inlined per retire. Bit-identical to the
-            // per-cycle body below (see `Cpu::run_timed`); trace mode
-            // and superscalar issue keep the general loop.
+            // through the functional core's superblock loop, charging
+            // each retire through the shared cost model. Bit-identical to
+            // the per-cycle branch below (see `Cpu::run_timed`); trace
+            // mode and superscalar issue keep the per-cycle branch.
             if self.config.issue_width <= 1 && self.trace.is_none() && self.icache.is_some() {
                 let span_base = base + used;
-                let span_budget = budget - used;
                 let TimingCore {
                     cpu,
                     icache,
@@ -430,84 +519,12 @@ impl TimingCore {
                 let summary = cpu.run_timed(
                     bus,
                     cache,
-                    span_budget,
+                    budget - used,
                     config.trap_cycles,
                     |pc, inst, annot, taken_branch, acc, span_cycles| {
                         *retired += 1;
                         let now = span_base + span_cycles;
-                        let mut cost = 1u64;
-                        // Fetch path: charge everything beyond a
-                        // pipelined L1I hit.
-                        if config.is_cacheable(pc) {
-                            let lat = mem.access(core_idx, AccessKind::Fetch, pc, now);
-                            cost += lat - mem.config().l1_hit_cycles;
-                        }
-                        // Execute path: the static extra rides along as
-                        // the decode-cache annotation (`extra + 1`;
-                        // 0 = not yet computed).
-                        let mut memo = 0u16;
-                        if annot != 0 {
-                            cost += u64::from(annot - 1);
-                        } else {
-                            let extra = match inst {
-                                Inst::MulDiv { op, .. } => {
-                                    let is_div = matches!(
-                                        op,
-                                        MulDivOp::Div
-                                            | MulDivOp::Divu
-                                            | MulDivOp::Rem
-                                            | MulDivOp::Remu
-                                    );
-                                    if is_div {
-                                        config.div_cycles - 1
-                                    } else {
-                                        config.mul_cycles - 1
-                                    }
-                                }
-                                Inst::Jal { .. } | Inst::Jalr { .. } => config.jump_penalty,
-                                _ => 0,
-                            };
-                            cost += extra;
-                            memo = u16::try_from(extra + 1).unwrap_or(0);
-                        }
-                        if taken_branch {
-                            cost += config.branch_taken_penalty;
-                        }
-                        // Memory path; anything uncacheable (MMIO fetch
-                        // or data) ends the batch after this cycle.
-                        let mut stop = !config.is_cacheable(pc);
-                        if let Some(a) = acc {
-                            if config.is_cacheable(a.addr) {
-                                let kind = if a.is_amo {
-                                    AccessKind::Amo
-                                } else if a.is_store {
-                                    AccessKind::Store
-                                } else {
-                                    AccessKind::Load
-                                };
-                                let lat = mem.access(core_idx, kind, a.addr, now);
-                                cost += match kind {
-                                    AccessKind::Store if lat == mem.config().l1_hit_cycles => 0,
-                                    AccessKind::Amo => lat + config.amo_extra_cycles,
-                                    _ => lat,
-                                };
-                            } else {
-                                cost += config.mmio_cycles;
-                                stop = true;
-                            }
-                        }
-                        // A software MIP write would be overwritten by
-                        // the next wiring; hand control back first.
-                        if matches!(inst, Inst::Csr { csr, .. }
-                            if *csr == firesim_riscv::csr::addr::MIP)
-                        {
-                            stop = true;
-                        }
-                        TimedStep {
-                            extra: cost - 1,
-                            stop,
-                            annot: memo,
-                        }
+                        config.charge(mem, core_idx, now, pc, inst, annot, taken_branch, acc)
                     },
                 );
                 used += summary.cycles;
@@ -524,74 +541,10 @@ impl TimingCore {
             }
 
             self.cpu.csrs.mcycle = self.cpu.csrs.mcycle.wrapping_add(1);
-            let now = base + used;
+            let stop = self.issue_cycle(bus, mem, core_idx, base + used) == Some(true);
             used += 1;
-            let width = self.config.issue_width.max(1);
-            let mut device_access = false;
-            for slot in 0..width {
-                let outcome = match &mut self.icache {
-                    Some(cache) => self.cpu.step_cached(bus, cache),
-                    None => self.cpu.step(bus),
-                }
-                .expect("functional core does not fail at host level");
-                match outcome {
-                    StepOutcome::Retired {
-                        pc,
-                        inst,
-                        taken_branch,
-                        mem: acc,
-                        ..
-                    } => {
-                        let cost = self.retired_cost(
-                            pc,
-                            &inst,
-                            taken_branch,
-                            acc.as_ref(),
-                            mem,
-                            core_idx,
-                            now,
-                        );
-                        if let Some((depth, trace)) = &mut self.trace {
-                            if trace.len() == *depth {
-                                trace.pop_front();
-                            }
-                            trace.push_back(TraceEntry {
-                                cycle: self.cpu.csrs.mcycle,
-                                pc,
-                            });
-                        }
-                        if !self.config.is_cacheable(pc)
-                            || acc
-                                .as_ref()
-                                .is_some_and(|a| !self.config.is_cacheable(a.addr))
-                            || matches!(inst, Inst::Csr { csr, .. }
-                                if csr == firesim_riscv::csr::addr::MIP)
-                        {
-                            device_access = true;
-                        }
-                        if cost > 1 {
-                            self.stall = cost - 1;
-                            break;
-                        }
-                    }
-                    StepOutcome::Wfi => {
-                        self.parked = true;
-                        if slot == 0 {
-                            self.idle_cycles += 1;
-                        }
-                        break;
-                    }
-                    StepOutcome::Trapped { .. } => {
-                        let cost = 1 + self.config.trap_cycles;
-                        if cost > 1 {
-                            self.stall = cost - 1;
-                            break;
-                        }
-                    }
-                }
-            }
             bus.elapse_timing_cycles(1);
-            if device_access {
+            if stop {
                 break;
             }
         }
@@ -626,163 +579,88 @@ impl TimingCore {
             }
         }
 
-        // Issue up to `issue_width` instructions this cycle; issuing
-        // stops early at any instruction that needs extra resources
-        // (memory, multi-cycle units, control flow, traps).
-        let width = self.config.issue_width.max(1);
-        let mut first_event: Option<TickEvent> = None;
-        for slot in 0..width {
+        match self.issue_cycle(bus, mem, core_idx, now) {
+            Some(_) => TickEvent::Issued,
+            None => TickEvent::Idle,
+        }
+    }
+
+    /// The issue cycle shared by [`tick`](Self::tick) and
+    /// [`advance`](Self::advance)'s per-cycle branch, for an awake core
+    /// with no stall left, after `mcycle` has advanced: issues up to
+    /// `issue_width` instructions, stopping at the first that needs extra
+    /// cycles (memory, multi-cycle units, control flow, traps) and loading
+    /// its stall. Returns `None` when the core parked in WFI in the first
+    /// slot (an idle cycle), else whether an issued instruction left the
+    /// frozen environment ([`TimingConfig::charge`]'s `stop`).
+    fn issue_cycle<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        mem: &mut MemSystem,
+        core_idx: usize,
+        now: u64,
+    ) -> Option<bool> {
+        let mut stop = false;
+        for slot in 0..self.config.issue_width.max(1) {
             let outcome = match &mut self.icache {
                 Some(cache) => self.cpu.step_cached(bus, cache),
                 None => self.cpu.step(bus),
             }
             .expect("functional core does not fail at host level");
-            let cost = self.cost_of(&outcome, mem, core_idx, now);
-            let Some(cost) = cost else {
-                // Parked in WFI.
-                if slot == 0 {
-                    self.idle_cycles += 1;
-                    return TickEvent::Idle;
-                }
-                break;
-            };
-            if let (Some((depth, trace)), StepOutcome::Retired { pc, .. }) =
-                (&mut self.trace, &outcome)
-            {
-                if trace.len() == *depth {
-                    trace.pop_front();
-                }
-                trace.push_back(TraceEntry {
-                    cycle: self.cpu.csrs.mcycle,
-                    pc: *pc,
-                });
-            }
-            if first_event.is_none() {
-                first_event = Some(TickEvent::Issued(outcome.clone()));
-            }
-            if cost > 1 {
-                self.stall = cost - 1;
-                break;
-            }
-        }
-        first_event.expect("at least one issue slot ran")
-    }
-
-    /// Cycle cost of one executed instruction; `None` when the core
-    /// parked in WFI instead of executing.
-    fn cost_of(
-        &mut self,
-        outcome: &StepOutcome,
-        mem: &mut MemSystem,
-        core_idx: usize,
-        now: u64,
-    ) -> Option<u64> {
-        let cost = match outcome {
-            StepOutcome::Wfi => {
-                self.parked = true;
-                return None;
-            }
-            StepOutcome::Trapped { .. } => 1 + self.config.trap_cycles,
-            StepOutcome::Retired {
-                pc,
-                inst,
-                taken_branch,
-                mem: mem_access,
-                ..
-            } => self.retired_cost(
-                *pc,
-                inst,
-                *taken_branch,
-                mem_access.as_ref(),
-                mem,
-                core_idx,
-                now,
-            ),
-        };
-        Some(cost)
-    }
-
-    /// Cost of one retired instruction. Kept scalar-argument so the hot
-    /// batched loop never has to materialize a full [`StepOutcome`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn retired_cost(
-        &mut self,
-        pc: u64,
-        inst: &Inst,
-        taken_branch: bool,
-        mem_access: Option<&MemAccess>,
-        mem: &mut MemSystem,
-        core_idx: usize,
-        now: u64,
-    ) -> u64 {
-        self.retired += 1;
-        let mut cost = 1u64;
-        // Fetch path: charge everything beyond a pipelined L1I hit.
-        if self.config.is_cacheable(pc) {
-            let lat = mem.access(core_idx, AccessKind::Fetch, pc, now);
-            cost += lat - mem.config().l1_hit_cycles;
-        }
-        // Execute path: the static extra is a pure function of
-        // the decoded instruction, so it is memoized in the
-        // decode-cache slot that served the fetch (stored as
-        // `extra + 1`; 0 = not yet computed). The slot guard
-        // (`tag == pc`, annotation reset on fill) makes a nonzero
-        // annotation always describe this exact instruction: a
-        // retired instruction at an aligned cacheable PC was
-        // necessarily served by the cache when it is enabled, and
-        // MMIO/misaligned PCs never match a filled tag.
-        let memoized = self.icache.as_ref().map_or(0, |cache| cache.annotation(pc));
-        if memoized != 0 {
-            cost += u64::from(memoized - 1);
-        } else {
-            let extra = match inst {
-                Inst::MulDiv { op, .. } => {
-                    let is_div = matches!(
-                        op,
-                        MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu
+            let extra = match outcome {
+                StepOutcome::Retired {
+                    pc,
+                    inst,
+                    taken_branch,
+                    mem: acc,
+                    ..
+                } => {
+                    self.retired += 1;
+                    // A retired instruction at an aligned cacheable PC was
+                    // necessarily served by the cache when it is enabled;
+                    // MMIO/misaligned PCs never match a filled tag.
+                    let annot = self.icache.as_ref().map_or(0, |c| c.annotation(pc));
+                    let step = self.config.charge(
+                        mem,
+                        core_idx,
+                        now,
+                        pc,
+                        &inst,
+                        annot,
+                        taken_branch,
+                        acc.as_ref(),
                     );
-                    if is_div {
-                        self.config.div_cycles - 1
-                    } else {
-                        self.config.mul_cycles - 1
+                    if let (Some(cache), true) = (&mut self.icache, step.annot != 0) {
+                        cache.set_annotation(pc, step.annot);
                     }
+                    if let Some((depth, trace)) = &mut self.trace {
+                        if trace.len() == *depth {
+                            trace.pop_front();
+                        }
+                        trace.push_back(TraceEntry {
+                            cycle: self.cpu.csrs.mcycle,
+                            pc,
+                        });
+                    }
+                    stop |= step.stop;
+                    step.extra
                 }
-                Inst::Jal { .. } | Inst::Jalr { .. } => self.config.jump_penalty,
-                _ => 0,
+                StepOutcome::Trapped { .. } => self.config.trap_cycles,
+                StepOutcome::Wfi => {
+                    self.parked = true;
+                    if slot == 0 {
+                        self.idle_cycles += 1;
+                        return None;
+                    }
+                    break;
+                }
             };
-            cost += extra;
-            if let (Some(cache), Ok(a)) = (&mut self.icache, u16::try_from(extra + 1)) {
-                cache.set_annotation(pc, a);
+            if extra > 0 {
+                self.stall = extra;
+                break;
             }
         }
-        // The taken-branch penalty is dynamic (only `Branch` sets
-        // the flag), so it stays outside the memoized extra.
-        if taken_branch {
-            cost += self.config.branch_taken_penalty;
-        }
-        // Memory path.
-        if let Some(acc) = mem_access {
-            if self.config.is_cacheable(acc.addr) {
-                let kind = if acc.is_amo {
-                    AccessKind::Amo
-                } else if acc.is_store {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                let lat = mem.access(core_idx, kind, acc.addr, now);
-                cost += match kind {
-                    // Store hits retire through the store buffer.
-                    AccessKind::Store if lat == mem.config().l1_hit_cycles => 0,
-                    AccessKind::Amo => lat + self.config.amo_extra_cycles,
-                    _ => lat,
-                };
-            } else {
-                cost += self.config.mmio_cycles;
-            }
-        }
-        cost
+        Some(stop)
     }
 }
 
