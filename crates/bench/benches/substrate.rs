@@ -45,7 +45,7 @@ fn bench_blade(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
     g.throughput(Throughput::Elements(6_400));
     g.bench_function("rtl_blade_one_window", |b| {
-        let prog = programs::boot_poweroff(1 << 40);
+        let prog = programs::boot_poweroff_wrapping(1 << 40);
         let mut blade = RtlBlade::new(
             "b",
             MacAddr::from_node_index(0),

@@ -72,7 +72,7 @@ pub fn build_fig8_cluster(spec: &str) -> SimResult<(Topology, SimConfig)> {
         .strip_prefix("nodes=")
         .and_then(|n| n.parse::<usize>().ok())
         .ok_or_else(|| firesim_core::SimError::topology(format!("bad fig8 spec {spec:?}")))?;
-    let program = programs::boot_poweroff(1 << 40);
+    let program = programs::boot_poweroff_wrapping(1 << 40);
     let topo = boot_topology(nodes, &program);
     let config = SimConfig {
         link_latency: Cycle::new(6_400),
@@ -149,7 +149,7 @@ pub fn fig8_scale(node_counts: &[usize], target_cycles: u64) -> Vec<Fig8Row> {
         for &nodes in node_counts {
             // Enough boot work to keep every core busy through the
             // measurement window, as in the paper's Linux-boot runs.
-            let program = programs::boot_poweroff(1 << 40);
+            let program = programs::boot_poweroff_wrapping(1 << 40);
             let mut sim = boot_cluster(nodes, supernode, Cycle::new(6_400), &program);
             // Warm-up window, then the measured run.
             sim.run_for(Cycle::new(6_400)).expect("warmup");

@@ -406,17 +406,45 @@ pub fn park() -> Program {
 /// The boot-and-power-off workload used by the simulation-rate benchmark
 /// (Fig 8): performs `work_iters` loop iterations of register and memory
 /// work (standing in for "boot Linux to userspace"), then powers off.
+///
+/// The loop strides through memory without bound, so it leaves DRAM after
+/// `dram_bytes / 64` iterations; long rate measurements use
+/// [`boot_poweroff_wrapping`].
 pub fn boot_poweroff(work_iters: u64) -> Program {
+    boot_program(work_iters, None)
+}
+
+/// Bytes [`boot_poweroff_wrapping`] strides over before wrapping: twice
+/// the 256 KiB L2, ending below 1 MiB so it fits the smallest blades.
+pub const BOOT_WRAP_BYTES: u64 = 512 << 10;
+
+/// [`boot_poweroff`] with its memory pointer wrapped inside
+/// [`BOOT_WRAP_BYTES`], so a run of any length stays inside DRAM and keeps
+/// retiring instructions: the Fig 8/9 target for rate measurements.
+pub fn boot_poweroff_wrapping(work_iters: u64) -> Program {
+    boot_program(work_iters, Some(BOOT_WRAP_BYTES))
+}
+
+fn boot_program(work_iters: u64, wrap_bytes: Option<u64>) -> Program {
+    let base = DRAM_BASE as i64 + 0x4_0000;
     let mut a = Assembler::new(DRAM_BASE);
     a.li(5, work_iters as i64);
-    a.li(6, DRAM_BASE as i64 + 0x4_0000);
+    a.li(6, base);
     a.li(8, 0);
+    if let Some(bytes) = wrap_bytes {
+        a.li(9, base + bytes as i64);
+    }
     a.label("work");
     // Touch memory to exercise the cache hierarchy like a booting kernel.
     a.sd(8, 6, 0);
     a.ld(7, 6, 0);
     a.add(8, 8, 7);
     a.addi(6, 6, 64);
+    if wrap_bytes.is_some() {
+        a.bltu(6, 9, "in_range");
+        a.li(6, base);
+        a.label("in_range");
+    }
     a.addi(5, 5, -1);
     a.bnez(5, "work");
     a.li(13, MAILBOX as i64);
@@ -585,5 +613,40 @@ mod tests {
         assert!(summary.cycles < Cycle::new(10_000_000));
         assert_eq!(probe.lock().exit_code, Some(0));
         assert_eq!(mailbox_u64(&probe.lock().mailbox, 0), 0);
+    }
+
+    /// The wrapped boot loop keeps retiring long after the unwrapped one
+    /// would have strided off the end of a 1 MiB blade (~12 k iterations).
+    #[test]
+    fn boot_poweroff_wrapping_stays_in_dram() {
+        use firesim_core::{AgentCtx, SimAgent, TokenWindow};
+        let mut blade = RtlBlade::new(
+            "b",
+            MacAddr::from_node_index(0),
+            BladeConfig::single_core().with_dram_bytes(1 << 20),
+        );
+        boot_poweroff_wrapping(1 << 40).install(&mut blade);
+        let probe = blade.probe();
+        let window = 6_400u32;
+        let mut last_retired = 0;
+        for w in 0..400u64 {
+            let mut ctx = AgentCtx::standalone(
+                Cycle::new(w * u64::from(window)),
+                window,
+                vec![TokenWindow::new(window)],
+                1,
+            );
+            blade.advance(&mut ctx);
+            let retired = probe.lock().retired;
+            assert!(retired > last_retired, "window {w} retired nothing");
+            last_retired = retired;
+        }
+        // Seven instructions per iteration; the unwrapped loop leaves DRAM
+        // after (1 MiB - 256 KiB) / 64 iterations.
+        let unwrapped_limit = ((1u64 << 20) - 0x4_0000) / 64 * 7;
+        assert!(
+            last_retired > unwrapped_limit,
+            "{last_retired} retired, want > {unwrapped_limit}"
+        );
     }
 }

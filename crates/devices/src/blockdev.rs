@@ -108,6 +108,9 @@ pub struct BlockDevice {
     len: u64,
     is_write: bool,
     trackers: Vec<Option<Request>>,
+    /// Number of `Some` trackers, so an idle device's per-cycle calls
+    /// return without scanning. Derived state: not checkpointed.
+    busy: usize,
     completions: VecDeque<u64>,
     /// Requests rejected for being out of range or zero-length.
     pub rejected: u64,
@@ -123,6 +126,7 @@ impl BlockDevice {
             len: 0,
             is_write: false,
             trackers: (0..config.trackers).map(|_| None).collect(),
+            busy: 0,
             completions: VecDeque::new(),
             rejected: 0,
             config,
@@ -150,6 +154,9 @@ impl BlockDevice {
     /// Advances one cycle: progresses all busy trackers, moving data and
     /// posting completions when transfers finish.
     pub fn tick(&mut self, mem: &mut Memory) {
+        if self.busy == 0 {
+            return;
+        }
         for (id, slot) in self.trackers.iter_mut().enumerate() {
             if let Some(req) = slot {
                 if req.remaining_cycles > 1 {
@@ -169,6 +176,7 @@ impl BlockDevice {
                 }
                 self.completions.push_back(id as u64);
                 *slot = None;
+                self.busy -= 1;
             }
         }
     }
@@ -178,6 +186,9 @@ impl BlockDevice {
     /// a no-op). A return of `Some(m)` means the next `m - 1` ticks are
     /// pure countdown and the `m`-th performs a transfer.
     pub fn min_busy_cycles(&self) -> Option<u64> {
+        if self.busy == 0 {
+            return None;
+        }
         self.trackers
             .iter()
             .filter_map(|slot| slot.as_ref().map(|req| req.remaining_cycles))
@@ -193,6 +204,9 @@ impl BlockDevice {
     /// Debug-panics if any busy tracker has `remaining_cycles <= cycles`
     /// (its completion would be skipped over).
     pub fn skip(&mut self, cycles: u64) {
+        if self.busy == 0 {
+            return;
+        }
         for req in self.trackers.iter_mut().flatten() {
             debug_assert!(
                 req.remaining_cycles > cycles,
@@ -218,6 +232,7 @@ impl BlockDevice {
             is_write: self.is_write,
             remaining_cycles: cycles.max(1),
         });
+        self.busy += 1;
         id as u64
     }
 }
@@ -285,6 +300,7 @@ impl firesim_core::snapshot::Checkpoint for BlockDevice {
                 None
             };
         }
+        self.busy = self.trackers.iter().flatten().count();
         self.completions = r.get()?;
         self.rejected = r.get_u64()?;
         Ok(())

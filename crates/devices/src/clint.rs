@@ -42,10 +42,14 @@ impl Clint {
 
     /// Advances target time by `cycles` core cycles.
     pub fn advance(&mut self, cycles: u64) {
-        self.cycle_accum += cycles;
-        let ticks = self.cycle_accum / self.cycles_per_tick;
-        self.cycle_accum %= self.cycles_per_tick;
-        self.mtime = self.mtime.wrapping_add(ticks);
+        let accum = self.cycle_accum + cycles;
+        if accum < self.cycles_per_tick {
+            // No `mtime` tick this call: the common per-cycle case.
+            self.cycle_accum = accum;
+            return;
+        }
+        self.mtime = self.mtime.wrapping_add(accum / self.cycles_per_tick);
+        self.cycle_accum = accum % self.cycles_per_tick;
     }
 
     /// Current `mtime` value.

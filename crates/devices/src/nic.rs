@@ -141,6 +141,11 @@ pub struct Nic {
     rx_buffered: VecDeque<Vec<u8>>,
     rx_buffered_bytes: usize,
     writer: Option<(Vec<u8>, usize, u64)>,
+    /// Emptied packet buffers the writer has finished with, reused for
+    /// the next incoming packets so steady-state receive does not
+    /// allocate. Host-side only: never checkpointed, at most
+    /// `queue_depth` buffers, filled lazily.
+    rx_free: Vec<Vec<u8>>,
 
     stats: NicStats,
 }
@@ -166,6 +171,7 @@ impl Nic {
             rx_buffered: VecDeque::new(),
             rx_buffered_bytes: 0,
             writer: None,
+            rx_free: Vec::new(),
             stats: NicStats::default(),
             config,
         }
@@ -284,7 +290,8 @@ impl Nic {
             }
             if flit.last {
                 if !self.rx_dropping {
-                    let pkt = std::mem::take(&mut self.rx_cur);
+                    let next = self.rx_free.pop().unwrap_or_default();
+                    let pkt = std::mem::replace(&mut self.rx_cur, next);
                     self.rx_buffered_bytes += pkt.len();
                     self.stats.rx_packets += 1;
                     self.stats.rx_bytes += pkt.len() as u64;
@@ -303,18 +310,21 @@ impl Nic {
                 self.writer = Some((pkt, 0, addr));
             }
         }
-        if let Some((pkt, cursor, addr)) = self.writer.take() {
-            let n = (pkt.len() - cursor).min(8);
+        if let Some((pkt, cursor, addr)) = &mut self.writer {
+            let n = (pkt.len() - *cursor).min(8);
             // Writes to unmapped addresses are dropped silently (a real
             // DMA would raise a bus error; software owns buffer validity).
-            let _ = mem.write_bytes(addr + cursor as u64, &pkt[cursor..cursor + n]);
-            let cursor = cursor + n;
-            if cursor >= pkt.len() {
+            let _ = mem.write_bytes(*addr + *cursor as u64, &pkt[*cursor..*cursor + n]);
+            *cursor += n;
+            if *cursor >= pkt.len() {
                 if self.recv_comps.len() < self.config.queue_depth {
                     self.recv_comps.push_back(pkt.len() as u32);
                 }
-            } else {
-                self.writer = Some((pkt, cursor, addr));
+                let (mut pkt, _, _) = self.writer.take().expect("writer is active");
+                if self.rx_free.len() < self.config.queue_depth {
+                    pkt.clear();
+                    self.rx_free.push(pkt);
+                }
             }
         }
 
@@ -337,14 +347,12 @@ impl Nic {
             // Respect reservation-buffer backpressure.
             if self.resbuf.len() + 8 <= self.config.resbuf_bytes && r.cursor < r.end {
                 if let Ok(chunk) = mem.read_bytes(r.cursor, 8) {
-                    // Aligner: keep only the packet's own bytes.
-                    let pkt_start = r.addr;
-                    let pkt_end = r.addr + u64::from(r.len);
-                    for (i, &b) in chunk.iter().enumerate() {
-                        let a = r.cursor + i as u64;
-                        if a >= pkt_start && a < pkt_end {
-                            self.resbuf.push_back(b);
-                        }
+                    // Aligner: keep only the packet's own bytes, the
+                    // sub-slice of the word that overlaps the packet.
+                    let lo = r.addr.saturating_sub(r.cursor).min(8) as usize;
+                    let hi = (r.addr + u64::from(r.len)).saturating_sub(r.cursor).min(8) as usize;
+                    if lo < hi {
+                        self.resbuf.extend(&chunk[lo..hi]);
                     }
                 }
                 r.cursor += 8;
@@ -374,12 +382,19 @@ impl Nic {
             if let Some(remaining) = self.tx_remaining {
                 let n = (remaining as usize).min(8);
                 if self.resbuf.len() >= n {
+                    // Take the flit's bytes as one word (zero above `n`).
                     let mut buf = [0u8; 8];
-                    for slot in buf.iter_mut().take(n) {
-                        *slot = self.resbuf.pop_front().expect("len checked");
-                    }
+                    let (front, back) = self.resbuf.as_slices();
+                    let split = front.len().min(n);
+                    buf[..split].copy_from_slice(&front[..split]);
+                    buf[split..n].copy_from_slice(&back[..n - split]);
+                    self.resbuf.drain(..n);
                     let last = remaining as usize == n;
-                    out = Some(Flit::from_bytes(&buf[..n], last));
+                    out = Some(Flit {
+                        data: u64::from_le_bytes(buf),
+                        len: n as u8,
+                        last,
+                    });
                     self.tokens -= 1;
                     self.stats.tx_bytes += n as u64;
                     if last {
@@ -500,6 +515,52 @@ impl firesim_core::snapshot::Checkpoint for Nic {
             None
         };
         self.stats = r.get()?;
+        self.validate()
+    }
+}
+
+impl Nic {
+    /// Rejects restored state that the datapath's arithmetic assumes can
+    /// never arise: over-full controller queues, a writer cursor past its
+    /// packet, and buffer occupancies that disagree with their contents
+    /// or capacity.
+    fn validate(&self) -> firesim_core::SimResult<()> {
+        let fail = |what: String| Err(firesim_core::SimError::checkpoint(format!("NIC {what}")));
+        let depth = self.config.queue_depth;
+        for (name, len) in [
+            ("send request", self.send_reqs.len()),
+            ("receive request", self.recv_reqs.len()),
+            ("send completion", self.send_comps.len()),
+            ("receive completion", self.recv_comps.len()),
+        ] {
+            if len > depth {
+                return fail(format!(
+                    "{name} queue holds {len} entries, depth is {depth}"
+                ));
+            }
+        }
+        if let Some((pkt, cursor, _)) = &self.writer {
+            if *cursor > pkt.len() {
+                return fail(format!(
+                    "writer cursor {cursor} is past its {}-byte packet",
+                    pkt.len()
+                ));
+            }
+        }
+        let buffered: usize = self.rx_buffered.iter().map(Vec::len).sum();
+        if buffered != self.rx_buffered_bytes {
+            return fail(format!(
+                "packet buffer counts {} bytes but holds {buffered}",
+                self.rx_buffered_bytes
+            ));
+        }
+        if self.resbuf.len() > self.config.resbuf_bytes {
+            return fail(format!(
+                "reservation buffer holds {} bytes, capacity is {}",
+                self.resbuf.len(),
+                self.config.resbuf_bytes
+            ));
+        }
         Ok(())
     }
 }
@@ -807,5 +868,249 @@ mod tests {
         assert!(!flits[0].last && !flits[2].last);
         assert_eq!(flits[1].byte_len(), 4);
         assert_eq!(nic.stats().tx_packets, 2);
+    }
+
+    /// Saves `bad` and restores it onto a fresh NIC with the same MAC,
+    /// which must fail with a typed checkpoint error, not a panic.
+    fn assert_restore_rejects(bad: &Nic, what: &str) {
+        use firesim_core::snapshot::{Checkpoint, SnapshotReader, SnapshotWriter};
+        let mut w = SnapshotWriter::new();
+        bad.save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        let (mut fresh, _) = mk();
+        match fresh.restore_state(&mut SnapshotReader::new(&bytes)) {
+            Err(firesim_core::SimError::Checkpoint { detail }) => {
+                assert!(detail.contains(what), "{what}: {detail}");
+            }
+            other => panic!("{what}: restore returned {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_round_trips_a_busy_nic() {
+        use firesim_core::snapshot::{Checkpoint, SnapshotReader, SnapshotWriter};
+        let (mut nic, mut mem) = mk();
+        mem.write_bytes(DRAM_BASE + 0x100, &[0x33; 100]).unwrap();
+        nic.write(reg::SEND_REQ, 8, send_req(DRAM_BASE + 0x103, 90));
+        nic.write(reg::RECV_REQ, 8, DRAM_BASE + 0x2000);
+        nic.tick(&mut mem, Some(Flit::from_bytes(&[1; 8], false)));
+        nic.tick(&mut mem, Some(Flit::from_bytes(&[2; 3], true)));
+        let _ = drive_tx(&mut nic, &mut mem, 3);
+        let mut w = SnapshotWriter::new();
+        nic.save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        let (mut copy, _) = mk();
+        copy.restore_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
+        let mut again = SnapshotWriter::new();
+        copy.save_state(&mut again).unwrap();
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn restore_rejects_overfull_queues() {
+        let depth = NicConfig::default().queue_depth;
+        let (mut bad, _) = mk();
+        bad.send_reqs = (0..=depth as u64).map(|i| (DRAM_BASE + i, 8)).collect();
+        assert_restore_rejects(&bad, "send request queue");
+        let (mut bad, _) = mk();
+        bad.recv_reqs = (0..=depth as u64).map(|i| DRAM_BASE + i).collect();
+        assert_restore_rejects(&bad, "receive request queue");
+        let (mut bad, _) = mk();
+        bad.send_comps = (0..=depth).map(|_| 1).collect();
+        assert_restore_rejects(&bad, "send completion queue");
+        let (mut bad, _) = mk();
+        bad.recv_comps = (0..=depth).map(|_| 64).collect();
+        assert_restore_rejects(&bad, "receive completion queue");
+    }
+
+    #[test]
+    fn restore_rejects_writer_cursor_past_packet() {
+        let (mut bad, _) = mk();
+        bad.writer = Some((vec![0; 16], 17, DRAM_BASE));
+        assert_restore_rejects(&bad, "writer cursor");
+    }
+
+    #[test]
+    fn restore_rejects_wrong_packet_buffer_count() {
+        let (mut bad, _) = mk();
+        bad.rx_buffered = VecDeque::from([vec![0; 10], vec![0; 6]]);
+        bad.rx_buffered_bytes = 15;
+        assert_restore_rejects(&bad, "packet buffer");
+    }
+
+    #[test]
+    fn restore_rejects_overfull_reservation_buffer() {
+        let (mut bad, _) = mk();
+        bad.resbuf = std::iter::repeat_n(0, NicConfig::default().resbuf_bytes + 1).collect();
+        assert_restore_rejects(&bad, "reservation buffer");
+    }
+
+    mod datapath_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Posts every packet, drives the NIC until it has been idle for
+        /// a while, and checks the wire against the bytes in DRAM: one
+        /// frame per packet in order, full 8-byte flits except each
+        /// frame's `last` one, one send completion per packet, and never
+        /// more flits than the token bucket has admitted.
+        fn check_tx(
+            packets: &[(u64, u32)],
+            rate: (u16, u16),
+            resbuf_bytes: usize,
+            fill: u64,
+        ) -> Result<(), TestCaseError> {
+            let mut nic = Nic::new(
+                MacAddr::from_node_index(1),
+                NicConfig {
+                    resbuf_bytes,
+                    ..NicConfig::default()
+                },
+            );
+            let (k, p) = rate;
+            nic.set_rate_limit(k, p);
+            let mut mem = Memory::new(DRAM_BASE, 1 << 16);
+            let image: Vec<u8> = (0..1u64 << 16)
+                .map(|i| (i.wrapping_mul(fill) >> 7) as u8)
+                .collect();
+            mem.write_bytes(DRAM_BASE, &image).unwrap();
+            for &(off, len) in packets {
+                nic.write(reg::SEND_REQ, 8, send_req(DRAM_BASE + off, len));
+            }
+            let mut flits = Vec::new();
+            let mut idle = 0u64;
+            let mut cycle = 0u64;
+            while idle < 64 {
+                cycle += 1;
+                match nic.tick(&mut mem, None) {
+                    Some(f) => {
+                        flits.push(f);
+                        idle = 0;
+                    }
+                    None => idle += 1,
+                }
+                if k > 0 {
+                    // Initial bucket plus every refill so far.
+                    let admitted = u64::from(k) + cycle / u64::from(p) * u64::from(k);
+                    prop_assert!(flits.len() as u64 <= admitted, "cycle {cycle}");
+                }
+                prop_assert!(cycle < 1_000_000, "NIC never drained");
+            }
+            let mut frames: Vec<Vec<u8>> = vec![Vec::new()];
+            for f in &flits {
+                prop_assert!(f.len >= 1 && f.len <= 8);
+                prop_assert!(f.len == 8 || f.data >> (8 * u32::from(f.len)) == 0);
+                frames
+                    .last_mut()
+                    .unwrap()
+                    .extend_from_slice(&f.bytes()[..f.byte_len()]);
+                if f.last {
+                    frames.push(Vec::new());
+                } else {
+                    prop_assert_eq!(f.len, 8);
+                }
+            }
+            prop_assert!(frames.pop().unwrap().is_empty(), "trailing partial frame");
+            prop_assert_eq!(frames.len(), packets.len());
+            for (frame, &(off, len)) in frames.iter().zip(packets) {
+                let want = &image[off as usize..(off + u64::from(len)) as usize];
+                prop_assert!(frame[..] == want[..], "packet at {off:#x}+{len}");
+            }
+            let mut comps = 0;
+            while nic.read(reg::SEND_COMP, 8) != 0 {
+                comps += 1;
+            }
+            prop_assert_eq!(comps, packets.len());
+            prop_assert_eq!(nic.stats().tx_packets, packets.len() as u64);
+            prop_assert!(nic.is_quiescent());
+            Ok(())
+        }
+
+        /// Streams `packets` (lengths) into a NIC with a small packet
+        /// buffer and no receive buffers posted, so acceptance has a
+        /// closed form: a packet is kept iff it fits beside the bytes
+        /// already buffered. Then posts one buffer per kept packet and
+        /// checks DRAM, the completion lengths and the counters. Run
+        /// twice on one NIC, so the second burst reuses buffers the
+        /// first burst's writer released.
+        fn check_rx(packets: &[u32], pktbuf_bytes: usize, seed: u64) -> Result<(), TestCaseError> {
+            let mut nic = Nic::new(
+                MacAddr::from_node_index(1),
+                NicConfig {
+                    pktbuf_bytes,
+                    ..NicConfig::default()
+                },
+            );
+            let mut mem = Memory::new(DRAM_BASE, 1 << 16);
+            let mut dropped = 0u64;
+            let mut received = 0u64;
+            for burst in 0..2u64 {
+                let mut buffered = 0usize;
+                let mut kept = Vec::new();
+                for (i, &len) in packets.iter().enumerate() {
+                    let bytes: Vec<u8> = (0..len)
+                        .map(|j| (seed ^ (burst << 40) ^ ((i as u64) << 20) ^ u64::from(j)) as u8)
+                        .map(|b| b.wrapping_mul(31))
+                        .collect();
+                    let chunks: Vec<&[u8]> = bytes.chunks(8).collect();
+                    for (c, chunk) in chunks.iter().enumerate() {
+                        let last = c + 1 == chunks.len();
+                        prop_assert!(nic
+                            .tick(&mut mem, Some(Flit::from_bytes(chunk, last)))
+                            .is_none());
+                    }
+                    if buffered + bytes.len() <= pktbuf_bytes {
+                        buffered += bytes.len();
+                        kept.push(bytes);
+                    } else {
+                        dropped += 1;
+                    }
+                }
+                received += kept.len() as u64;
+                prop_assert_eq!(nic.stats().rx_dropped, dropped);
+                prop_assert_eq!(nic.stats().rx_packets, received);
+                for i in 0..kept.len() as u64 {
+                    nic.write(reg::RECV_REQ, 8, DRAM_BASE + i * 2048);
+                }
+                for _ in 0..(pktbuf_bytes / 8 + 4 * kept.len() + 16) {
+                    nic.tick(&mut mem, None);
+                }
+                for (i, bytes) in kept.iter().enumerate() {
+                    prop_assert_eq!(nic.read(reg::RECV_COMP, 8), bytes.len() as u64 + 1);
+                    let got = mem
+                        .read_bytes(DRAM_BASE + i as u64 * 2048, bytes.len())
+                        .unwrap();
+                    prop_assert!(got == &bytes[..], "burst {burst} packet {i}");
+                }
+                prop_assert_eq!(nic.read(reg::RECV_COMP, 8), 0);
+                prop_assert!(nic.is_quiescent());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn tx_wire_matches_dram(
+                packets in proptest::collection::vec((0u64..4096, 1u32..2000), 1..8),
+                rate in (0u16..5, 1u16..9),
+                resbuf in 0usize..4,
+                fill in any::<u64>(),
+            ) {
+                let resbuf_bytes = [16, 24, 64, 4096][resbuf];
+                check_tx(&packets, rate, resbuf_bytes, fill | 1)?;
+            }
+
+            #[test]
+            fn rx_keeps_whole_packets_and_delivers_them(
+                packets in proptest::collection::vec(1u32..2000, 1..14),
+                pktbuf in 0usize..3,
+                seed in any::<u64>(),
+            ) {
+                check_rx(&packets, [2048, 6000, 30000][pktbuf], seed)?;
+            }
+        }
     }
 }
