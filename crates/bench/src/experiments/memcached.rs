@@ -67,7 +67,6 @@ pub struct Fig7Row {
 /// Maps pair index -> attachment ToR, for servers and clients.
 type AttachFn = Box<dyn Fn(&mut Topology, bool, usize) -> firesim_manager::SwitchId>;
 
-#[allow(clippy::too_many_arguments)]
 fn run_kv(
     server_threads: usize,
     pinned: bool,
@@ -76,7 +75,6 @@ fn run_kv(
     requests_per_client: u64,
     max_outstanding: usize,
     tree: KvTree,
-    sampling: Option<firesim_manager::SamplingConfig>,
 ) -> (Histogram, f64) {
     let mut topo = Topology::new();
     let stats: Arc<Mutex<Vec<Arc<Mutex<MutilateStats>>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -193,7 +191,6 @@ fn run_kv(
     let mut sim = topo
         .build(SimConfig {
             host_threads: crate::host_threads(),
-            sampling,
             ..SimConfig::default()
         })
         .expect("valid topology");
@@ -239,18 +236,6 @@ enum PairHops {
 /// stays close to the 4-thread case, and pinning to smooth the
 /// mid-load p95.
 pub fn fig7_memcached(qps_points: &[f64], requests_per_client: u64) -> Vec<Fig7Row> {
-    fig7_memcached_with(qps_points, requests_per_client, None)
-}
-
-/// [`fig7_memcached`] with an explicit sampled-timing configuration.
-/// Fig 7's blades are OS-model nodes, which never fast-forward, so the
-/// rows must be identical with sampling on or off — the invariant
-/// `tests/sampling.rs` checks.
-pub fn fig7_memcached_with(
-    qps_points: &[f64],
-    requests_per_client: u64,
-    sampling: Option<firesim_manager::SamplingConfig>,
-) -> Vec<Fig7Row> {
     let mut rows = Vec::new();
     for case in [
         Fig7Case::Threads4,
@@ -267,7 +252,6 @@ pub fn fig7_memcached_with(
                 requests_per_client,
                 0,
                 KvTree::SingleTor,
-                sampling,
             );
             rows.push(Fig7Row {
                 case: case.label(),
@@ -331,7 +315,6 @@ pub fn table3_memcached(scale: usize, requests_per_client: u64) -> Vec<Table3Row
                 aggs,
                 hops,
             },
-            None,
         );
         rows.push(Table3Row {
             config: name,

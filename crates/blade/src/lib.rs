@@ -35,7 +35,6 @@ pub mod soc;
 pub mod supernode;
 
 pub use config::BladeConfig;
-pub use firesim_uarch::SamplingConfig;
 pub use model::{ModeledBlade, NodeApp, OsConfig, OsModel};
 pub use soc::RtlBlade;
 pub use supernode::Supernode;

@@ -516,15 +516,6 @@ pub struct AgentIntervalSample {
     /// Host-side MIPS over the interval (`d_retired` per host
     /// microsecond). Host-dependent: normalized out of golden streams.
     pub host_mips: u64,
-    /// Sampled-mode IPC estimate in permille (current value of the
-    /// agent's `sampling_ipc_est_permille` counter); 0 when the agent is
-    /// not running sampled.
-    pub ipc_est_permille: u64,
-    /// Sampled-mode 95% confidence interval bounds in permille; 0 when
-    /// not sampling.
-    pub ci_lo_permille: u64,
-    /// See `ci_lo_permille`.
-    pub ci_hi_permille: u64,
 }
 
 /// A deterministic delta of the whole engine between two quiescent
@@ -596,8 +587,7 @@ impl IntervalProbe {
     /// `profiles` and `counters` must be in a stable order (the engine's
     /// registration order) and the same length on every call. Counter
     /// lists are the agents' full `app_counters` output: the probe diffs
-    /// `retired` and the `host_icache_*` pair, and reads the sampled-mode
-    /// `sampling_*_permille` values as levels.
+    /// `retired` and the `host_icache_*` pair.
     pub fn sample(
         &mut self,
         cycle: u64,
@@ -622,12 +612,6 @@ impl IntervalProbe {
                     // first snapshot is all zeros.
                     (*p, base)
                 };
-                let level = |name: &str| {
-                    c.iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, v)| *v)
-                        .unwrap_or(0)
-                };
                 let d_retired = base.retired.saturating_sub(prev_c.retired);
                 let host_ns = p.host_ns.saturating_sub(prev_p.host_ns);
                 let d_ich = base.icache_hits.saturating_sub(prev_c.icache_hits);
@@ -644,9 +628,6 @@ impl IntervalProbe {
                         .saturating_mul(1000)
                         .checked_div(host_ns)
                         .unwrap_or(0),
-                    ipc_est_permille: level("sampling_ipc_est_permille"),
-                    ci_lo_permille: level("sampling_ci_lo_permille"),
-                    ci_hi_permille: level("sampling_ci_hi_permille"),
                 }
             })
             .collect();
@@ -805,7 +786,6 @@ mod tests {
                 ("retired".to_owned(), retired),
                 ("host_icache_hits".to_owned(), ich),
                 ("host_icache_misses".to_owned(), icm),
-                ("sampling_ipc_est_permille".to_owned(), 640),
             ]
         };
         // Priming call: baseline established, all-zero snapshot.
@@ -816,8 +796,6 @@ mod tests {
         assert_eq!(s0.agents[0].d_cycles, 0);
         assert_eq!(s0.agents[0].d_retired, 0);
         assert_eq!(s0.agents[0].icache_hit_permille, 0);
-        // Levels (not deltas) report even on the priming call.
-        assert_eq!(s0.agents[0].ipc_est_permille, 640);
 
         p.target_cycles += 500;
         p.tokens_in += 3;
@@ -836,17 +814,14 @@ mod tests {
         assert_eq!(a.icache_hit_permille, 750);
         // 60 insts over 2 us -> 30 MIPS.
         assert_eq!(a.host_mips, 30);
-        assert_eq!(a.ipc_est_permille, 640);
-        assert_eq!((a.ci_lo_permille, a.ci_hi_permille), (0, 0));
 
-        // No progress -> all-zero delta (levels persist).
+        // No progress -> all-zero delta.
         let s2 = probe.sample(1500, &[("a".into(), p)], &[counters(460, 165, 35)]);
         assert_eq!(s2.d_cycles, 0);
         assert_eq!(
             s2.agents[0],
             AgentIntervalSample {
                 name: "a".into(),
-                ipc_est_permille: 640,
                 ..AgentIntervalSample::default()
             }
         );

@@ -287,80 +287,6 @@ impl TimeSeries {
     }
 }
 
-/// Running mean/variance over a stream of samples (Welford's online
-/// algorithm), with a normal-approximation confidence interval.
-///
-/// Used by the sampled timing mode to turn per-detailed-window IPC
-/// samples into error bars (DESIGN §18). Updates are performed in a
-/// fixed order (one sample per completed window, in target-cycle order),
-/// so the f64 state — and therefore the `FSCKPT01` bytes it snapshots
-/// into — is deterministic across hosts and worker counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WindowStats {
-    /// Samples observed.
-    pub n: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Sum of squared deviations from the running mean (Welford's M2).
-    pub m2: f64,
-}
-
-impl WindowStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        WindowStats::default()
-    }
-
-    /// Folds one sample in.
-    pub fn record(&mut self, sample: f64) {
-        self.n += 1;
-        let delta = sample - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (sample - self.mean);
-    }
-
-    /// Sample variance (unbiased); 0 until two samples exist.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Standard error of the mean; 0 until two samples exist.
-    pub fn std_error(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.variance() / self.n as f64).sqrt()
-        }
-    }
-
-    /// 95% confidence interval `(lo, hi)` for the mean, using the normal
-    /// approximation (`mean ± 1.96 · s/√n`). Collapses to the point
-    /// estimate until two samples exist.
-    pub fn confidence95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error();
-        (self.mean - half, self.mean + half)
-    }
-}
-
-impl Snapshot for WindowStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.n);
-        w.put(&self.mean);
-        w.put(&self.m2);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> SimResult<Self> {
-        Ok(WindowStats {
-            n: r.get_u64()?,
-            mean: r.get()?,
-            m2: r.get()?,
-        })
-    }
-}
-
 impl Snapshot for Counter {
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_str(&self.name);
@@ -407,27 +333,6 @@ impl Snapshot for TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_stats_mean_and_ci() {
-        let mut s = WindowStats::new();
-        // One sample: CI collapses to the point estimate.
-        s.record(2.0);
-        assert_eq!(s.confidence95(), (2.0, 2.0));
-        for v in [4.0, 4.0, 6.0] {
-            s.record(v);
-        }
-        assert_eq!(s.n, 4);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-        let (lo, hi) = s.confidence95();
-        assert!(lo < 4.0 && 4.0 < hi);
-        // Round-trips through a snapshot bit-exactly.
-        let mut w = SnapshotWriter::new();
-        s.save(&mut w);
-        let bytes = w.into_bytes();
-        let got = WindowStats::load(&mut SnapshotReader::new(&bytes)).unwrap();
-        assert_eq!(got, s);
-    }
 
     #[test]
     fn counter_basics() {

@@ -40,13 +40,12 @@ pub mod stream;
 pub mod supervisor;
 pub mod topology;
 
-pub use firesim_blade::SamplingConfig;
 pub use fleet::{CostEstimate, FleetSpec, HostAssignment, HostClass, LoadProfile, PlacementPlan};
 pub use partition::{
     maybe_worker, run_partitioned, BuildFn, PartitionConfig, PartitionPlan, PartitionedRun,
     TransportChoice,
 };
-pub use report::{AgentReport, HistogramSummary, LinkReport, RunReport, SamplingSummary};
+pub use report::{AgentReport, HistogramSummary, LinkReport, RunReport};
 pub use results::{ExperimentRecord, ResultStore};
 pub use simulation::{ShardBoundaries, SimConfig, Simulation};
 pub use stream::{

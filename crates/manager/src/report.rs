@@ -46,23 +46,6 @@ pub struct AgentReport {
     pub counters: Vec<(String, u64)>,
 }
 
-/// One sampled-mode blade's IPC estimate with its 95% confidence
-/// interval, extracted from the blade's `sampling_*` app counters by
-/// [`RunReport::sampling_summary`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SamplingSummary {
-    /// Blade name.
-    pub name: String,
-    /// Completed detailed windows feeding the estimate.
-    pub windows: u64,
-    /// Blade IPC estimate, permille.
-    pub ipc_est_permille: u64,
-    /// 95% CI lower edge on the per-window IPC mean, permille.
-    pub ci_lo_permille: u64,
-    /// 95% CI upper edge on the per-window IPC mean, permille.
-    pub ci_hi_permille: u64,
-}
-
 /// One link's occupancy at a quiescent window boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkReport {
@@ -397,26 +380,6 @@ impl RunReport {
             }
         }
         out
-    }
-
-    /// Per-blade sampled-timing estimates, one entry per agent that ran
-    /// under [`SimConfig::sampling`](crate::SimConfig) (agents without
-    /// the `sampling_*` counters are skipped). Empty when sampling was
-    /// off.
-    pub fn sampling_summary(&self) -> Vec<SamplingSummary> {
-        self.agents
-            .iter()
-            .filter_map(|a| {
-                let find = |name: &str| a.counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
-                Some(SamplingSummary {
-                    name: a.name.clone(),
-                    windows: find("sampling_windows")?,
-                    ipc_est_permille: find("sampling_ipc_est_permille").unwrap_or(0),
-                    ci_lo_permille: find("sampling_ci_lo_permille").unwrap_or(0),
-                    ci_hi_permille: find("sampling_ci_hi_permille").unwrap_or(0),
-                })
-            })
-            .collect()
     }
 
     /// Serialises to pretty JSON.

@@ -42,11 +42,6 @@ pub struct SimConfig {
     pub host_threads: usize,
     /// Use supernode packing in the deployment plan.
     pub supernode: bool,
-    /// Sampled timing for every RTL blade: alternate cycle-exact
-    /// detailed windows with IPC-extrapolated fast-forward spans
-    /// (DESIGN §18). `None` (the default) simulates every cycle.
-    /// Overrides each blade's `TimingConfig::sampling`.
-    pub sampling: Option<firesim_blade::SamplingConfig>,
 }
 
 impl Default for SimConfig {
@@ -58,7 +53,6 @@ impl Default for SimConfig {
             root_bandwidth_bucket: None,
             host_threads: 1,
             supernode: false,
-            sampling: None,
         }
     }
 }
@@ -233,12 +227,9 @@ impl Topology {
             };
             let (blade, probe) = match spec {
                 BladeSpec::Rtl {
-                    config: mut blade_config,
+                    config: blade_config,
                     program,
                 } => {
-                    if let Some(sampling) = config.sampling {
-                        blade_config.timing.sampling = Some(sampling);
-                    }
                     let mut blade = RtlBlade::new(name.clone(), mac, blade_config);
                     program.install(&mut blade);
                     let probe = blade.probe();

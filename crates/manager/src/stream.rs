@@ -163,15 +163,6 @@ pub struct AgentSample {
     /// Retired instructions per host microsecond (live MIPS) over the
     /// interval. Host-dependent: zeroed by [`StreamRecord::normalize`].
     pub host_mips: u64,
-    /// Sampled-mode blade IPC estimate in permille; 0 when sampling is
-    /// off (levels, not deltas — see DESIGN §18).
-    pub ipc_est_permille: u64,
-    /// Lower edge of the sampled-mode 95% IPC confidence interval, in
-    /// permille; 0 when sampling is off.
-    pub ci_lo_permille: u64,
-    /// Upper edge of the sampled-mode 95% IPC confidence interval, in
-    /// permille; 0 when sampling is off.
-    pub ci_hi_permille: u64,
 }
 
 /// One connected input link's occupancy at the interval boundary.
@@ -357,9 +348,6 @@ impl StreamRecord {
                                     ("host_ns", Value::from(a.host_ns)),
                                     ("icache_hit_permille", Value::from(a.icache_hit_permille)),
                                     ("host_mips", Value::from(a.host_mips)),
-                                    ("ipc_est_permille", Value::from(a.ipc_est_permille)),
-                                    ("ci_lo_permille", Value::from(a.ci_lo_permille)),
-                                    ("ci_hi_permille", Value::from(a.ci_hi_permille)),
                                 ])
                             })
                             .collect(),
@@ -460,9 +448,6 @@ impl StreamRecord {
                         host_ns: get_u64(a, "host_ns")?,
                         icache_hit_permille: get_u64_or_zero(a, "icache_hit_permille"),
                         host_mips: get_u64_or_zero(a, "host_mips"),
-                        ipc_est_permille: get_u64_or_zero(a, "ipc_est_permille"),
-                        ci_lo_permille: get_u64_or_zero(a, "ci_lo_permille"),
-                        ci_hi_permille: get_u64_or_zero(a, "ci_hi_permille"),
                     });
                 }
                 let mut links = Vec::new();
@@ -780,9 +765,6 @@ impl StreamSession {
                     host_ns: a.host_ns,
                     icache_hit_permille: a.icache_hit_permille,
                     host_mips: a.host_mips,
-                    ipc_est_permille: a.ipc_est_permille,
-                    ci_lo_permille: a.ci_lo_permille,
-                    ci_hi_permille: a.ci_hi_permille,
                 })
                 .collect(),
             links,
@@ -896,9 +878,6 @@ mod tests {
                     host_ns: 1_234,
                     icache_hit_permille: 930,
                     host_mips: 44,
-                    ipc_est_permille: 550,
-                    ci_lo_permille: 520,
-                    ci_hi_permille: 580,
                 }],
                 links: vec![LinkSample {
                     agent: "tor0".into(),
@@ -935,6 +914,19 @@ mod tests {
             let back = StreamRecord::parse(&line).expect("parses");
             assert_eq!(back, rec);
         }
+    }
+
+    /// Streams written while the blade still had a sampled timing mode
+    /// carry three more keys on every agent. Wire v1 readers ignore
+    /// unknown keys, so such a line still parses, to the same record.
+    #[test]
+    fn interval_with_removed_agent_keys_still_parses() {
+        let line = concat!(
+            r#"{"agents":[{"ci_hi_permille":580,"ci_lo_permille":520,"d_cycles":100032,"d_retired":55000,"d_tokens_in":7,"d_tokens_out":9,"host_mips":44,"host_ns":1234,"icache_hit_permille":930,"ipc_est_permille":550,"name":"pinger"}],"#,
+            r#""cycle":100000,"d_cycles":100032,"links":[{"agent":"tor0","latency":6400,"port":0,"tokens":6400}],"seq":1,"#,
+            r#""switches":[{"d_drops":0,"d_forwarded":12,"highwater":1500,"name":"tor0"}],"t":"interval","v":1,"wall_ns":42}"#,
+        );
+        assert_eq!(StreamRecord::parse(line).unwrap(), sample_records()[1]);
     }
 
     #[test]

@@ -530,10 +530,10 @@ impl Cpu {
     /// at the first non-`Retired` outcome (see [`hot_run`](Self::hot_run)
     /// for why the elided per-instruction work is unobservable). Only the
     /// per-step outcome *reporting* is dropped, which is what makes this
-    /// the high-throughput entry point — use it when no per-instruction
-    /// timing information is needed (functional warm-up, ISA-level
-    /// benchmarking); use `step_cached` when a timing model consumes each
-    /// [`StepOutcome`].
+    /// the high-throughput entry point for ISA-level measurement: the
+    /// benchmark's `riscv.exec.mips` drive and `benches/blade_mips.rs`
+    /// call it. No blade schedule does; a timing model that consumes each
+    /// [`StepOutcome`] uses `step_cached` or [`run_timed`](Self::run_timed).
     pub fn run_cached<B: Bus>(
         &mut self,
         bus: &mut B,

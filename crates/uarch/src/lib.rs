@@ -32,4 +32,4 @@ pub mod timing;
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig, DramStats, RowOutcome};
 pub use memsys::{AccessKind, MemSystem, MemSystemConfig, MemSystemStats};
-pub use timing::{SamplingConfig, TickEvent, TimingConfig, TimingCore, TraceEntry};
+pub use timing::{TickEvent, TimingConfig, TimingCore, TraceEntry};

@@ -53,41 +53,6 @@ pub struct TimingConfig {
     /// digests, and snapshots are bit-identical either way, and the
     /// differential tests run both modes against each other.
     pub reference_timing: bool,
-    /// Sampled timing mode (default off = fully detailed). When set, the
-    /// SoC alternates `detailed_window`-cycle spans of full timing
-    /// modeling with `fastforward`-cycle spans of functional-only
-    /// execution paced by a CPI estimate fitted from the completed
-    /// detailed windows. **Not** timing-exact — results are statistical
-    /// estimates with confidence intervals — but still deterministic,
-    /// checkpointable, and partition-invariant (the phase is a pure
-    /// function of the absolute target cycle).
-    pub sampling: Option<SamplingConfig>,
-}
-
-/// Parameters of the sampled timing mode (see
-/// [`TimingConfig::sampling`] and DESIGN §18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplingConfig {
-    /// Cycles of full detailed timing per period.
-    pub detailed_window: u64,
-    /// Cycles of CPI-estimated fast-forward per period.
-    pub fastforward: u64,
-}
-
-impl SamplingConfig {
-    /// Total period length.
-    pub fn period(&self) -> u64 {
-        self.detailed_window + self.fastforward
-    }
-
-    /// Panics unless both spans are nonzero (a zero span is either
-    /// "fully detailed" — turn sampling off — or "never measured").
-    pub fn validate(&self) {
-        assert!(
-            self.detailed_window > 0 && self.fastforward > 0,
-            "sampling spans must both be nonzero"
-        );
-    }
 }
 
 impl Default for TimingConfig {
@@ -105,7 +70,6 @@ impl Default for TimingConfig {
             cacheable_size: 16 << 30,
             decode_cache: true,
             reference_timing: false,
-            sampling: None,
         }
     }
 }
@@ -377,80 +341,6 @@ impl TimingCore {
                 "skip on a core that would have issued"
             );
             self.idle_cycles += cycles;
-        }
-    }
-
-    /// Sampled-mode fast-forward: executes up to `max_insts` instructions
-    /// *functionally only* — no memory-system timing, no per-instruction
-    /// cost model — via the superblock dispatcher when the decode cache
-    /// is on. Returns the number of instructions retired (counted into
-    /// [`retired`](Self::retired) as usual). Traps are taken and the run
-    /// continues; WFI parks the core and ends the run early. A parked
-    /// core with a pending enabled interrupt (wire interrupts first!) is
-    /// woken, exactly like the detailed paths.
-    ///
-    /// Cycle accounting is the caller's job: follow up with
-    /// [`ff_charge`](Self::ff_charge) for the span's cycle count.
-    pub fn fast_forward<B: Bus>(&mut self, bus: &mut B, max_insts: u64) -> u64 {
-        if self.parked {
-            if self.cpu.csrs.wfi_wakeup() || self.cpu.csrs.pending_interrupt().is_some() {
-                self.parked = false;
-            } else {
-                return 0;
-            }
-        }
-        let mut executed = 0u64;
-        let TimingCore {
-            cpu,
-            icache,
-            retired,
-            parked,
-            ..
-        } = self;
-        while executed < max_insts {
-            match icache {
-                Some(cache) => {
-                    let summary = cpu.run_cached(bus, cache, max_insts - executed);
-                    executed += summary.retired;
-                    match summary.stopped {
-                        firesim_riscv::exec::BlockStop::Budget
-                        | firesim_riscv::exec::BlockStop::Trapped => {}
-                        firesim_riscv::exec::BlockStop::Wfi => {
-                            *parked = true;
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    let outcome = cpu
-                        .step(bus)
-                        .expect("functional core does not fail at host level");
-                    match outcome {
-                        StepOutcome::Retired { .. } => executed += 1,
-                        StepOutcome::Trapped { .. } => {}
-                        StepOutcome::Wfi => {
-                            *parked = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        *retired += executed;
-        executed
-    }
-
-    /// Charges a fast-forwarded span's cycles to the core: `mcycle`
-    /// advances by the full span, any residual detailed-mode stall is
-    /// burned first, and a parked core accumulates idle time. This is the
-    /// sampled mode's *approximate* replacement for per-cycle cost
-    /// accounting — deterministic, but not timing-exact by design.
-    pub fn ff_charge(&mut self, cycles: u64) {
-        self.cpu.csrs.mcycle = self.cpu.csrs.mcycle.wrapping_add(cycles);
-        let burned = self.stall.min(cycles);
-        self.stall -= burned;
-        if self.parked {
-            self.idle_cycles += cycles - burned;
         }
     }
 
