@@ -12,68 +12,49 @@
 
 use firesim_bench::experiments as exp;
 use firesim_bench::full_scale;
-use firesim_manager::{ExperimentRecord, ResultStore};
+use firesim_manager::{ExperimentRecord, ResultStore, TransportChoice};
+
+/// Every experiment, in the order `repro all` runs them.
+const EXPERIMENTS: [(&str, fn(&mut ResultStore)); 11] = [
+    ("fig5", fig5),
+    ("iperf", iperf),
+    ("baremetal", baremetal),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("plan", plan),
+    ("table3", table3),
+    ("fig11", fig11),
+    ("util", util),
+];
 
 fn main() {
+    // `fig8`'s distributed rows re-exec this binary as fleet workers;
+    // hand them their shard before the command line is parsed.
+    if firesim_manager::maybe_worker(exp::build_fig8_cluster) {
+        return;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: repro <fig5|iperf|baremetal|fig6|fig7|fig8|fig9|plan|table3|fig11|util|all> ...");
+        let names = EXPERIMENTS.map(|(name, _)| name).join("|");
+        eprintln!("usage: repro <{names}|all> ...");
         std::process::exit(2);
     }
     let mut store = load_store();
     for arg in &args {
-        match arg.as_str() {
-            "fig5" => fig5(&mut store),
-            "iperf" => iperf(&mut store),
-            "baremetal" => baremetal(&mut store),
-            "fig6" => fig6(&mut store),
-            "fig7" => fig7(&mut store),
-            "fig8" => fig8(&mut store),
-            "fig9" => fig9(&mut store),
-            "plan" => plan(&mut store),
-            "table3" => table3(&mut store),
-            "fig11" => fig11(&mut store),
-            "util" => util(&mut store),
-            "all" => {
-                for e in [
-                    "fig5",
-                    "iperf",
-                    "baremetal",
-                    "fig6",
-                    "fig7",
-                    "fig8",
-                    "fig9",
-                    "plan",
-                    "table3",
-                    "fig11",
-                    "util",
-                ] {
-                    run_one(e, &mut store);
-                }
-            }
-            other => {
-                eprintln!("unknown experiment {other:?}");
-                std::process::exit(2);
-            }
+        let selected: Vec<_> = EXPERIMENTS
+            .iter()
+            .filter(|(name, _)| arg == "all" || arg == name)
+            .collect();
+        if selected.is_empty() {
+            eprintln!("unknown experiment {arg:?}");
+            std::process::exit(2);
+        }
+        for (_, run) in selected {
+            run(&mut store);
         }
         save_store(&store);
-    }
-}
-
-fn run_one(name: &str, store: &mut ResultStore) {
-    match name {
-        "fig5" => fig5(store),
-        "iperf" => iperf(store),
-        "baremetal" => baremetal(store),
-        "fig6" => fig6(store),
-        "fig7" => fig7(store),
-        "fig8" => fig8(store),
-        "fig9" => fig9(store),
-        "plan" => plan(store),
-        "table3" => table3(store),
-        "fig11" => fig11(store),
-        "util" => util(store),
-        _ => unreachable!(),
     }
 }
 
@@ -238,6 +219,49 @@ fn fig8(store: &mut ResultStore) {
     }
     println!("(paper: rate decreases with scale; supernode packing sustains higher");
     println!(" rates at large node counts)");
+    store.put(rec);
+
+    // The same boot cluster partitioned across worker processes over
+    // shared-memory token transports. A software fleet that moves real
+    // token batches must land below the rate the host transport alone
+    // would impose on a hardware deployment, and partitioning must not
+    // change any agent's final state.
+    let nodes = 8;
+    let dist = exp::fig8_scale_distributed(nodes, &[1, 2, 4], TransportChoice::Shm, cycles)
+        .expect("distributed fleet runs");
+    let mut rec = ExperimentRecord::new("fig8_distributed");
+    rec.param("nodes", nodes as u64);
+    rec.param("transport", TransportChoice::Shm.as_str());
+    println!(
+        "\n{:>8} {:>8} {:>14} {:>14} {:>18}",
+        "nodes", "workers", "sim_rate_MHz", "bound_MHz", "digest"
+    );
+    for r in &dist {
+        assert!(
+            r.sim_rate_mhz < r.bound_mhz,
+            "software fleet ({:.3} MHz) cannot beat the transport bound ({:.3} MHz)",
+            r.sim_rate_mhz,
+            r.bound_mhz
+        );
+        let digest = format!("{:016x}", r.combined_digest);
+        println!(
+            "{:>8} {:>8} {:>14.3} {:>14.3} {:>18}",
+            r.nodes, r.workers, r.sim_rate_mhz, r.bound_mhz, digest
+        );
+        rec.push_row([
+            ("workers", serde_json::json!(r.workers)),
+            ("sim_rate_mhz", serde_json::json!(r.sim_rate_mhz)),
+            ("bound_mhz", serde_json::json!(r.bound_mhz)),
+            ("digest", serde_json::json!(digest)),
+        ]);
+    }
+    assert!(
+        dist.windows(2)
+            .all(|w| w[0].combined_digest == w[1].combined_digest),
+        "partitioning must not change results: {dist:?}"
+    );
+    println!("(every worker count ends in the same digest and stays below the");
+    println!(" shared-memory transport bound)");
     store.put(rec);
 }
 

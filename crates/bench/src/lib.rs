@@ -1,9 +1,9 @@
 //! # firesim-bench
 //!
 //! The evaluation harness: one reproduction function per figure/table in
-//! the FireSim paper (Karandikar et al., ISCA 2018), shared between the
-//! `repro` binary (which prints paper-style tables and records JSON
-//! results) and the Criterion benchmarks.
+//! the FireSim paper (Karandikar et al., ISCA 2018), driven by the `repro`
+//! binary, which prints paper-style tables and records JSON results.
+//! Simulator speed is measured separately, by the `benchmark/` harness.
 //!
 //! | Experiment | Function | Paper result reproduced |
 //! |---|---|---|

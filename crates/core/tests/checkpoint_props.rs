@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use firesim_core::{
-    AgentCtx, Checkpoint, Cycle, Engine, EngineCheckpoint, FaultPlan, SimAgent, SimResult,
-    SnapshotReader, SnapshotWriter,
+    AgentCtx, Checkpoint, Cycle, Engine, EngineCheckpoint, FaultPlan, SimAgent, SimError,
+    SimResult, SnapshotReader, SnapshotWriter,
 };
 
 const WINDOW: u32 = 8;
@@ -184,6 +184,47 @@ fn restore_replays_target_faults_bit_identically() {
     fresh.restore(&cp).unwrap();
     fresh.run_for(Cycle::new(96)).unwrap();
     assert_eq!(fresh.checkpoint().unwrap().to_bytes(), want);
+}
+
+/// A mid-run checkpoint of the four-relay ring: agent state plus token
+/// windows in flight on every link, most of them carrying tokens.
+fn mid_run_checkpoint() -> Vec<u8> {
+    let mut engine = build(1);
+    engine.run_for(Cycle::new(64)).unwrap();
+    engine.checkpoint().unwrap().to_bytes()
+}
+
+/// A checkpoint cut short anywhere is a typed error, never a panic and
+/// never a shorter checkpoint that happens to decode.
+#[test]
+fn truncated_checkpoint_is_rejected() {
+    let bytes = mid_run_checkpoint();
+    for cut in 0..bytes.len() {
+        assert!(
+            matches!(
+                EngineCheckpoint::<u64>::from_bytes(&bytes[..cut]),
+                Err(SimError::Checkpoint { .. })
+            ),
+            "{cut}-byte prefix of a {}-byte checkpoint did not fail as a checkpoint error",
+            bytes.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any single corrupted byte decodes or fails with a typed error;
+    /// it never panics.
+    #[test]
+    fn corrupted_checkpoint_never_panics(at in any::<u64>(), mask in 1u8..=255) {
+        let mut bytes = mid_run_checkpoint();
+        let at = (at % bytes.len() as u64) as usize;
+        bytes[at] ^= mask;
+        if let Err(e) = EngineCheckpoint::<u64>::from_bytes(&bytes) {
+            prop_assert!(matches!(e, SimError::Checkpoint { .. }), "untyped error: {e:?}");
+        }
+    }
 }
 
 proptest! {

@@ -923,6 +923,9 @@ fn run_single(
     if let Some(sc) = &scenario {
         sim.apply_scenario(sc)?;
     }
+    if let Some(hook) = &cfg.worker_panic {
+        install_panic_hook(&mut sim, 0, hook)?;
+    }
     // Merged checkpoints are name-sorted, not registration-ordered, so
     // the monolithic continuation also restores by name.
     if let Some(path) = &cfg.restore_from {

@@ -224,7 +224,8 @@ fn reference_timing_is_invisible(seed: u64) {
     }
 }
 
-/// Killing one worker produces a `FailureReport` naming the dead shard.
+/// Killing one worker produces a `FailureReport` naming the dead shard;
+/// the same hook fails a one-worker (in-process) run too.
 fn dead_worker_is_named() {
     let mut cfg = PartitionConfig::new(2, Cycle::new(CYCLES), "seed=1".to_string());
     // Shard 0 holds the pinger (server index 0), which is mid-ping-loop
@@ -239,6 +240,19 @@ fn dead_worker_is_named() {
         report.failing_agent.as_deref(),
         Some("shard0"),
         "report must name the dead shard: {report}"
+    );
+
+    // One worker runs in the parent process, without a fleet; the hook
+    // must still fire rather than be silently ignored.
+    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "seed=1".to_string());
+    cfg.worker_panic = Some("0:pinger@100000".to_string());
+    let report = match run_partitioned(build_seeded, &cfg) {
+        Err(report) => report,
+        Ok(_) => panic!("panic injected into the one-worker run but it succeeded"),
+    };
+    assert!(
+        matches!(report.error, SimError::AgentPanicked { .. }),
+        "one-worker run must fail with the injected panic: {report}"
     );
 }
 
