@@ -30,39 +30,8 @@ use std::time::Instant;
 use firesim_blade::{programs, BladeConfig, RtlBlade};
 use firesim_core::{AgentCtx, Cycle, SimAgent, TokenWindow};
 use firesim_net::MacAddr;
-use firesim_riscv::asm::Assembler;
-use firesim_riscv::DRAM_BASE;
 
 const WINDOW: u32 = 6_400;
-
-/// The `blade_mips` instruction-dense loop: ~18 ALU/mul ops, one load,
-/// one store, and a taken back-branch per iteration, forever.
-fn compute_image() -> Vec<u8> {
-    let mut a = Assembler::new(DRAM_BASE);
-    a.li(5, (DRAM_BASE + 0x2000) as i64);
-    a.li(6, 0);
-    a.label("loop");
-    a.addi(6, 6, 1);
-    a.xor(8, 6, 5);
-    a.and(9, 8, 6);
-    a.or(10, 9, 8);
-    a.add(11, 10, 6);
-    a.sub(12, 11, 9);
-    a.slli(13, 12, 3);
-    a.srli(14, 13, 2);
-    a.mul(15, 14, 6);
-    a.addi(16, 15, 7);
-    a.xor(17, 16, 11);
-    a.and(18, 17, 13);
-    a.ld(19, 5, 0);
-    a.add(20, 19, 6);
-    a.sd(20, 5, 8);
-    a.addi(21, 20, -3);
-    a.or(22, 21, 17);
-    a.add(23, 22, 18);
-    a.j("loop");
-    a.assemble().unwrap()
-}
 
 /// Which workload a runner boots.
 #[derive(Clone, Copy)]
@@ -83,11 +52,7 @@ impl Runner {
         config.timing.reference_timing = reference;
         let mut blade = RtlBlade::new("b", MacAddr::from_node_index(0), config);
         let program = match workload {
-            Workload::Compute => programs::Program {
-                image: compute_image(),
-                dram_init: Vec::new(),
-                mailbox: (programs::MAILBOX, 8),
-            },
+            Workload::Compute => programs::compute_loop(),
             Workload::Parked => programs::park(),
         };
         program.install(&mut blade);

@@ -30,46 +30,13 @@ use std::time::Instant;
 use firesim_blade::{programs, BladeConfig, RtlBlade};
 use firesim_core::{AgentCtx, Cycle, SimAgent, TokenWindow};
 use firesim_net::MacAddr;
-use firesim_riscv::asm::Assembler;
 use firesim_riscv::exec::Cpu;
 use firesim_riscv::mem::Memory;
-use firesim_riscv::{DecodeCache, DRAM_BASE};
+use firesim_riscv::DecodeCache;
 
 const BASE: u64 = 0x8000_0000;
 const MEM_BYTES: usize = 1 << 16;
 const WINDOW: u32 = 6_400;
-
-/// An instruction-dense loop: ~18 ALU/mul ops, one load, one store, and a
-/// taken back-branch per iteration, running forever over a fixed data
-/// slot. The store is deliberate — it bumps the global write generation
-/// every iteration, so the cache is exercised on its page-validated path
-/// rather than the (cheaper) same-superblock cursor alone.
-fn workload_image_at(base: u64) -> Vec<u8> {
-    let mut a = Assembler::new(base);
-    a.li(5, (base + 0x2000) as i64);
-    a.li(6, 0);
-    a.label("loop");
-    a.addi(6, 6, 1);
-    a.xor(8, 6, 5);
-    a.and(9, 8, 6);
-    a.or(10, 9, 8);
-    a.add(11, 10, 6);
-    a.sub(12, 11, 9);
-    a.slli(13, 12, 3);
-    a.srli(14, 13, 2);
-    a.mul(15, 14, 6);
-    a.addi(16, 15, 7);
-    a.xor(17, 16, 11);
-    a.and(18, 17, 13);
-    a.ld(19, 5, 0);
-    a.add(20, 19, 6);
-    a.sd(20, 5, 8);
-    a.addi(21, 20, -3);
-    a.or(22, 21, 17);
-    a.add(23, 22, 18);
-    a.j("loop");
-    a.assemble().unwrap()
-}
 
 /// A functional core mid-workload, steppable with or without the cache.
 struct IsaRunner {
@@ -81,7 +48,8 @@ struct IsaRunner {
 impl IsaRunner {
     fn new(cached: bool) -> Self {
         let mut mem = Memory::new(BASE, MEM_BYTES);
-        mem.write_bytes(BASE, &workload_image_at(BASE)).unwrap();
+        mem.write_bytes(BASE, &programs::compute_image(BASE))
+            .unwrap();
         IsaRunner {
             cpu: Cpu::new(0, BASE),
             mem,
@@ -138,12 +106,7 @@ impl BladeRunner {
         // The same instruction-dense infinite loop as the ISA layer,
         // relocated to the blade's reset vector (`boot_poweroff`'s work
         // loop walks off the end of DRAM on long runs).
-        let program = programs::Program {
-            image: workload_image_at(DRAM_BASE),
-            dram_init: Vec::new(),
-            mailbox: (programs::MAILBOX, 8),
-        };
-        program.install(&mut blade);
+        programs::compute_loop().install(&mut blade);
         BladeRunner { blade, now: 0 }
     }
 

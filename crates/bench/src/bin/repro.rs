@@ -32,7 +32,7 @@ const EXPERIMENTS: [(&str, fn(&mut ResultStore)); 11] = [
 fn main() {
     // `fig8`'s distributed rows re-exec this binary as fleet workers;
     // hand them their shard before the command line is parsed.
-    if firesim_manager::maybe_worker(exp::build_fig8_cluster) {
+    if firesim_manager::maybe_worker(firesim_manager::catalogue::build) {
         return;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -62,11 +62,11 @@ pub struct Fig7Row {
     pub p95_us: f64,
 }
 
-/// Runs one memcached service configuration under mutilate load and
-/// returns merged client-side latency statistics.
 /// Maps pair index -> attachment ToR, for servers and clients.
 type AttachFn = Box<dyn Fn(&mut Topology, bool, usize) -> firesim_manager::SwitchId>;
 
+/// Runs one memcached service configuration under mutilate load and
+/// returns merged client-side latency statistics.
 fn run_kv(
     server_threads: usize,
     pinned: bool,

@@ -10,8 +10,8 @@ pub use net_validation::{
     baremetal_bandwidth, fig5_ping, fig6_saturation, iperf, BandwidthResult, Fig5Row, Fig6Series,
 };
 pub use perf::{
-    build_fig8_cluster, datacenter_plan, fig8_scale, fig8_scale_distributed, fig9_latency,
-    utilization, Fig8DistRow, Fig8Row, Fig9Row,
+    datacenter_plan, fig8_scale, fig8_scale_distributed, fig9_latency, utilization, Fig8DistRow,
+    Fig8Row, Fig9Row,
 };
 pub use pfa::{fig11_pfa, Fig11Row};
 

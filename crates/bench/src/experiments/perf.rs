@@ -4,9 +4,8 @@
 
 use firesim_blade::programs;
 use firesim_core::{Cycle, SimResult};
-use firesim_manager::{
-    run_partitioned, BladeSpec, PartitionConfig, SimConfig, Simulation, Topology, TransportChoice,
-};
+use firesim_manager::catalogue::{self, Dims};
+use firesim_manager::{run_partitioned, PartitionConfig, SimConfig, Simulation, TransportChoice};
 use firesim_platform::{DeploymentPlan, FpgaModel, Transport, TransportKind};
 
 use super::CLOCK;
@@ -22,38 +21,15 @@ pub struct Fig8Row {
     pub sim_rate_mhz: f64,
 }
 
-/// Builds the paper's idle-boot cluster: `nodes` single-core RTL blades
-/// that boot, do a little work, and power down, under ToR switches of up
-/// to 32 nodes with a root switch above when needed.
-fn boot_topology(nodes: usize, program: &programs::Program) -> Topology {
-    let mut topo = Topology::new();
-    let tor_count = nodes.div_ceil(32);
-    let tors: Vec<_> = (0..tor_count)
-        .map(|i| topo.add_switch(format!("tor{i}")))
-        .collect();
-    if tor_count > 1 {
-        let root = topo.add_switch("root");
-        for &t in &tors {
-            topo.add_downlink(root, t).unwrap();
-        }
-    }
-    for i in 0..nodes {
-        let n = topo.add_server(
-            format!("node{i}"),
-            BladeSpec::rtl_single_core(program.clone()),
-        );
-        topo.add_downlink(tors[i / 32], n).unwrap();
-    }
-    topo
-}
-
+/// Fig 8/9's in-process cluster: the catalogue's boot rack running
+/// `program`, with the host's worker threads.
 fn boot_cluster(
     nodes: usize,
     supernode: bool,
     link_latency: Cycle,
     program: &programs::Program,
 ) -> Simulation {
-    boot_topology(nodes, program)
+    catalogue::boot_rack(nodes, program)
         .build(SimConfig {
             link_latency,
             supernode,
@@ -61,25 +37,6 @@ fn boot_cluster(
             ..SimConfig::default()
         })
         .expect("valid topology")
-}
-
-/// [`firesim_manager::BuildFn`] for the Fig 8 boot cluster: `spec` is
-/// `"nodes=N"` (the standard mapping, 6400-cycle links). Shared by
-/// [`fig8_scale_distributed`]'s parent and its worker processes so every
-/// shard deploys the same target.
-pub fn build_fig8_cluster(spec: &str) -> SimResult<(Topology, SimConfig)> {
-    let nodes = spec
-        .strip_prefix("nodes=")
-        .and_then(|n| n.parse::<usize>().ok())
-        .ok_or_else(|| firesim_core::SimError::topology(format!("bad fig8 spec {spec:?}")))?;
-    let program = programs::boot_poweroff_wrapping(1 << 40);
-    let topo = boot_topology(nodes, &program);
-    let config = SimConfig {
-        link_latency: Cycle::new(6_400),
-        host_threads: crate::host_threads(),
-        ..SimConfig::default()
-    };
-    Ok((topo, config))
 }
 
 /// One point of the distributed Fig 8 variant.
@@ -101,7 +58,7 @@ pub struct Fig8DistRow {
     pub combined_digest: u64,
 }
 
-/// Fig 8, multi-process mode: the same boot cluster partitioned across
+/// Fig 8, multi-process mode: the catalogue's `fig8` cluster partitioned across
 /// worker processes connected by the chosen [`TransportChoice`], with the
 /// measured rate sanity-checked against [`Transport::sim_rate_bound_hz`]
 /// for the analogous platform transport (shared memory or TCP).
@@ -123,10 +80,10 @@ pub fn fig8_scale_distributed(
     let bound_hz = Transport::of(platform_kind).sim_rate_bound_hz(6_400, nodes as u64);
     let mut rows = Vec::new();
     for &workers in worker_counts {
-        let mut cfg =
-            PartitionConfig::new(workers, Cycle::new(target_cycles), format!("nodes={nodes}"));
+        let spec = format!("fig8,nodes={nodes}");
+        let mut cfg = PartitionConfig::new(workers, Cycle::new(target_cycles), spec);
         cfg.transport = transport;
-        let run = run_partitioned(build_fig8_cluster, &cfg).map_err(|report| report.error)?;
+        let run = run_partitioned(catalogue::build, &cfg).map_err(|report| report.error)?;
         rows.push(Fig8DistRow {
             nodes,
             workers,
@@ -213,27 +170,12 @@ pub fn fig9_latency(latencies_us: &[f64], target_cycles: u64) -> Vec<Fig9Row> {
     rows
 }
 
-/// §V-C / Fig 10: builds the full 1024-node datacenter topology through
-/// the manager (32 nodes per ToR, 32 ToRs, 4 aggregation switches, one
-/// root) and returns its deployment plan — fleet and cost.
+/// §V-C / Fig 10: builds the catalogue's 1024-node datacenter (32 nodes
+/// per ToR, 32 ToRs, 4 aggregation switches, one root) through the
+/// manager and returns its deployment plan — fleet and cost. The plan
+/// depends only on the node and switch counts.
 pub fn datacenter_plan() -> DeploymentPlan {
-    let mut topo = Topology::new();
-    let root = topo.add_switch("root");
-    for a in 0..4 {
-        let agg = topo.add_switch(format!("agg{a}"));
-        topo.add_downlink(root, agg).unwrap();
-        for t in 0..8 {
-            let tor = topo.add_switch(format!("tor{a}_{t}"));
-            topo.add_downlink(agg, tor).unwrap();
-            for n in 0..32 {
-                let node = topo.add_server(
-                    format!("node{a}_{t}_{n}"),
-                    BladeSpec::rtl_quad_core(programs::boot_poweroff(1)),
-                );
-                topo.add_downlink(tor, node).unwrap();
-            }
-        }
-    }
+    let topo = catalogue::datacenter(Dims::PAPER, None).expect("the paper's dims are valid");
     assert_eq!(topo.server_count(), 1024);
     let sim = topo
         .build(SimConfig {

@@ -12,12 +12,17 @@
 //! | §IV-C | [`experiments::baremetal_bandwidth`] | bare-metal NIC driving ~line rate |
 //! | Fig 6 | [`experiments::fig6_saturation`] | staggered senders saturating the root uplink |
 //! | Fig 7 | [`experiments::fig7_memcached`] | thread-imbalance tail-latency blowup |
-//! | Fig 8 | [`experiments::fig8_scale`] | simulation rate vs simulated cluster size, standard vs supernode |
+//! | Fig 8 | [`experiments::fig8_scale`], [`experiments::fig8_scale_distributed`] | simulation rate vs simulated cluster size, standard vs supernode, and on 1/2/4 worker processes |
 //! | Fig 9 | [`experiments::fig9_latency`] | simulation rate vs target link latency (batch size) |
 //! | Fig 10/§V-C | [`experiments::datacenter_plan`] | 1024-node topology, fleet, and cost arithmetic |
 //! | Table III | [`experiments::table3_memcached`] | p50/p95/QPS across ToR/aggregation/root pairings |
 //! | Fig 11 | [`experiments::fig11_pfa`] | PFA vs software paging on genome and qsort |
 //! | §III-A5 | [`experiments::utilization`] | FPGA LUT utilisation, standard vs supernode |
+//!
+//! Fig 8/9's boot rack and the §V-C datacenter are the ones the examples
+//! and tests deploy too: they come from [`firesim_manager::catalogue`],
+//! and `repro` routes its fleet workers through
+//! [`firesim_manager::catalogue::build`].
 
 #![warn(missing_docs)]
 

@@ -15,6 +15,8 @@
 //!   acknowledgement from the receiver).
 //! * [`boot_poweroff`] — the boot-then-immediately-power-off workload
 //!   used to measure simulation rate at scale (Fig 8).
+//! * [`compute_loop`] — an endless instruction-dense loop, the steady
+//!   state the blade throughput guards time.
 
 use firesim_devices::map::NIC_BASE;
 use firesim_devices::nic::reg;
@@ -398,6 +400,47 @@ pub fn park() -> Program {
     a.j("park");
     Program {
         image: a.assemble().expect("park assembles"),
+        dram_init: Vec::new(),
+        mailbox: (MAILBOX, 8),
+    }
+}
+
+/// An instruction-dense loop's image at `base`: ~18 ALU/mul ops, one
+/// load, one store and a taken back-branch per iteration, forever, over
+/// a fixed data slot that stays in the L1. The store bumps the global
+/// write generation every iteration, so a decode cache is exercised on
+/// its page-validated path rather than its same-superblock cursor alone.
+pub fn compute_image(base: u64) -> Vec<u8> {
+    let mut a = Assembler::new(base);
+    a.li(5, (base + 0x2000) as i64);
+    a.li(6, 0);
+    a.label("loop");
+    a.addi(6, 6, 1);
+    a.xor(8, 6, 5);
+    a.and(9, 8, 6);
+    a.or(10, 9, 8);
+    a.add(11, 10, 6);
+    a.sub(12, 11, 9);
+    a.slli(13, 12, 3);
+    a.srli(14, 13, 2);
+    a.mul(15, 14, 6);
+    a.addi(16, 15, 7);
+    a.xor(17, 16, 11);
+    a.and(18, 17, 13);
+    a.ld(19, 5, 0);
+    a.add(20, 19, 6);
+    a.sd(20, 5, 8);
+    a.addi(21, 20, -3);
+    a.or(22, 21, 17);
+    a.add(23, 22, 18);
+    a.j("loop");
+    a.assemble().expect("compute loop assembles")
+}
+
+/// [`compute_image`] as a blade program at the reset vector.
+pub fn compute_loop() -> Program {
+    Program {
+        image: compute_image(DRAM_BASE),
         dram_init: Vec::new(),
         mailbox: (MAILBOX, 8),
     }

@@ -10,6 +10,11 @@ use crate::error::{SimError, SimResult};
 use crate::time::Cycle;
 use crate::token::TokenWindow;
 
+/// How long a run waits at its final window boundary for external
+/// boundary inputs to refill to their seeded occupancy before declaring
+/// the peer shard dead.
+const BOUNDARY_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// The injecting half of a cross-process link: windows received from a
 /// peer shard are pushed here and flow to the destination agent after the
 /// link's modeled latency. Created by [`Engine::connect_external_input`].
@@ -132,11 +137,11 @@ impl<T: Send + 'static> Engine<T> {
     /// `latency` cycles after it was produced — bit-identical to a
     /// monolithic in-process link.
     ///
-    /// At the end of every run the engine waits (bounded by
-    /// [`Engine::set_boundary_quiesce_timeout`]) until each boundary input
-    /// has been refilled to its seeded occupancy, so runs still end at the
-    /// paper's quiescent boundary where a latency-*N* link holds exactly
-    /// *N* tokens — the property [`Engine::checkpoint`] relies on. A peer
+    /// At the end of every run the engine waits (at most 30 s, then it
+    /// reports the peer dead) until each boundary input has been refilled
+    /// to its seeded occupancy, so runs still end at the paper's quiescent
+    /// boundary where a latency-*N* link holds exactly *N* tokens — the
+    /// property [`Engine::checkpoint`] relies on. A peer
     /// shard already into its next run may have sent more; that link is
     /// quiescent too, for the wait and for
     /// [`Engine::verify_token_invariant`] alike.
@@ -200,14 +205,6 @@ impl<T: Send + 'static> Engine<T> {
         })
     }
 
-    /// Sets how long runs wait at their final window boundary for external
-    /// boundary inputs (see [`Engine::connect_external_input`]) to return to
-    /// seeded occupancy before giving up on the peer. Default 30 s.
-    pub fn set_boundary_quiesce_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.boundary_quiesce_timeout = timeout;
-        self
-    }
-
     /// Blocks until every boundary input link holds its seeded
     /// `latency / window` windows again — i.e. until the external pumps
     /// have delivered every window the peer shard produced for the rounds
@@ -216,7 +213,7 @@ impl<T: Send + 'static> Engine<T> {
         if self.boundary_inputs.is_empty() {
             return Ok(());
         }
-        let deadline = Instant::now() + self.boundary_quiesce_timeout;
+        let deadline = Instant::now() + BOUNDARY_QUIESCE_TIMEOUT;
         for &(a, p) in &self.boundary_inputs {
             let slot = &self.agents[a];
             let rx = slot.inputs[p].as_ref().expect("boundary input is wired");
@@ -232,7 +229,7 @@ impl<T: Send + 'static> Engine<T> {
                         format!(
                             "boundary input port {p} did not quiesce: {got} of {want} \
                              windows in flight after {:?} (peer shard dead or stalled?)",
-                            self.boundary_quiesce_timeout
+                            BOUNDARY_QUIESCE_TIMEOUT
                         ),
                     ));
                 }

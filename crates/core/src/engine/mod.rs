@@ -76,7 +76,6 @@ pub use schedule::{AbortHandle, ProgressProbe, RunSummary, StopHandle};
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::channel::link;
 use crate::error::{SimError, SimResult};
@@ -140,10 +139,6 @@ pub struct Engine<T> {
     /// this engine (another process or an external pump). See
     /// [`Engine::connect_external_input`].
     boundary_inputs: Vec<(usize, usize)>,
-    /// How long [`Engine::run_for`] waits at the end of a run for external
-    /// boundary inputs to refill to their seeded occupancy before declaring
-    /// the peer dead. See [`Engine::set_boundary_quiesce_timeout`].
-    boundary_quiesce_timeout: Duration,
 }
 
 impl<T: Send + 'static> Engine<T> {
@@ -173,7 +168,6 @@ impl<T: Send + 'static> Engine<T> {
             metrics: None,
             tracer: None,
             boundary_inputs: Vec::new(),
-            boundary_quiesce_timeout: Duration::from_secs(30),
         }
     }
 

@@ -30,6 +30,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod catalogue;
 pub mod fleet;
 pub mod partition;
 pub mod report;

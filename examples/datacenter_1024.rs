@@ -1,12 +1,13 @@
 //! The 1024-node datacenter simulation (paper §V-C, Fig 10), now driven
 //! through the fleet controller.
 //!
-//! Builds the full tree — 32 nodes per ToR switch, 8 ToRs per
-//! aggregation switch, 4 aggregation switches, one root — with ~10 lines
-//! of topology code, asks [`firesim_manager::FleetSpec`] to place it on
-//! the paper's EC2 fleet (32 f1.16xlarge + 5 m4.16xlarge), prints the
-//! placement and its modeled $/simulated-hour, and runs a memcached
-//! burst across the root switch.
+//! Builds the catalogue's full tree
+//! ([`firesim_manager::catalogue::datacenter`]: 32 nodes per ToR switch,
+//! 8 ToRs per aggregation switch, 4 aggregation switches, one root), asks
+//! [`firesim_manager::FleetSpec`] to place it on the paper's EC2 fleet
+//! (32 f1.16xlarge + 5 m4.16xlarge), prints the placement and its
+//! modeled $/simulated-hour, and runs a memcached burst across the root
+//! switch.
 //!
 //! ```text
 //! cargo run --release --example datacenter_1024
@@ -30,145 +31,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use firesim_blade::model::OsConfig;
-use firesim_blade::services::{KvServer, KvServerConfig, Mutilate, MutilateConfig, MutilateStats};
 use firesim_core::stats::Histogram;
-use firesim_core::{Cycle, Frequency, SimError, SimResult};
+use firesim_core::{Cycle, Frequency};
+use firesim_manager::catalogue::{self, Dims, StatsSink};
 use firesim_manager::{
-    run_partitioned, BladeSpec, FleetSpec, LoadProfile, PartitionConfig, PlacementPlan, SimConfig,
-    Topology, TransportChoice,
+    run_partitioned, FleetSpec, LoadProfile, PartitionConfig, PlacementPlan, SimConfig,
+    TransportChoice,
 };
-use firesim_net::MacAddr;
-
-type StatsSink = Arc<Mutex<Vec<Arc<Mutex<MutilateStats>>>>>;
-
-#[derive(Clone, Copy)]
-struct Dims {
-    aggs: usize,
-    tors_per_agg: usize,
-    nodes_per_tor: usize,
-    requests: usize,
-    qps: f64,
-}
-
-impl Dims {
-    fn spec(&self) -> String {
-        format!(
-            "dc={}x{}x{},requests={},qps={}",
-            self.aggs, self.tors_per_agg, self.nodes_per_tor, self.requests, self.qps
-        )
-    }
-
-    fn parse(spec: &str) -> SimResult<Dims> {
-        let bad = || SimError::topology(format!("bad datacenter spec {spec:?}"));
-        let mut dims = None;
-        let mut requests = 40usize;
-        let mut qps = 10_000.0f64;
-        for part in spec.split(',') {
-            let (key, value) = part.split_once('=').ok_or_else(bad)?;
-            match key {
-                "dc" => {
-                    let mut it = value.split('x').map(str::parse::<usize>);
-                    let mut next = || it.next().and_then(Result::ok).ok_or_else(bad);
-                    dims = Some((next()?, next()?, next()?));
-                }
-                "requests" => requests = value.parse().map_err(|_| bad())?,
-                "qps" => qps = value.parse().map_err(|_| bad())?,
-                _ => return Err(bad()),
-            }
-        }
-        let (aggs, tors_per_agg, nodes_per_tor) = dims.ok_or_else(bad)?;
-        if aggs * tors_per_agg % 2 != 0 {
-            return Err(SimError::topology(
-                "datacenter needs an even ToR count to pair servers with loadgens",
-            ));
-        }
-        Ok(Dims {
-            aggs,
-            tors_per_agg,
-            nodes_per_tor,
-            requests,
-            qps,
-        })
-    }
-}
-
-/// Builds the datacenter tree: servers (memcached) on the first half of
-/// the ToRs, load generators on the second half, paired across the root
-/// switch ("cross-datacenter" in Table III). `stats` collects each
-/// generator's latency histogram when the caller runs in-process; worker
-/// processes pass `None` and read results from the merged report.
-fn datacenter_topology(dims: Dims, stats: Option<&StatsSink>) -> Topology {
-    let mut topo = Topology::new();
-    let root = topo.add_switch("root");
-    let mut tors = Vec::new();
-    for a in 0..dims.aggs {
-        let agg = topo.add_switch(format!("agg{a}"));
-        topo.add_downlink(root, agg).unwrap();
-        for t in 0..dims.tors_per_agg {
-            let tor = topo.add_switch(format!("tor{a}_{t}"));
-            topo.add_downlink(agg, tor).unwrap();
-            tors.push(tor);
-        }
-    }
-    let os = OsConfig {
-        cores: 4,
-        ..OsConfig::default()
-    };
-    let half = tors.len() / 2;
-    let mut count = 0u64;
-    for &tor in tors.iter().take(half) {
-        for _ in 0..dims.nodes_per_tor {
-            let node = topo.add_server(
-                format!("kv{count}"),
-                BladeSpec::model(os, 4, true, move |mac, _| {
-                    Box::new(KvServer::new(mac, KvServerConfig::default()))
-                }),
-            );
-            topo.add_downlink(tor, node).unwrap();
-            count += 1;
-        }
-    }
-    for (ci, &tor) in tors.iter().enumerate().skip(half) {
-        for j in 0..dims.nodes_per_tor {
-            let pair = ((ci - half) * dims.nodes_per_tor + j) as u64;
-            let cfg = MutilateConfig {
-                server: MacAddr::from_node_index(pair),
-                qps: dims.qps,
-                requests: dims.requests as u64,
-                seed: 7_000 + pair,
-                max_outstanding: 4,
-                ..MutilateConfig::default()
-            };
-            let sink = stats.map(Arc::clone);
-            let node = topo.add_server(
-                format!("gen{pair}"),
-                BladeSpec::model(os, 1, true, move |mac, _| {
-                    let m = Mutilate::new(mac, cfg);
-                    if let Some(sink) = &sink {
-                        sink.lock().push(m.stats());
-                    }
-                    Box::new(m)
-                }),
-            );
-            topo.add_downlink(tor, node).unwrap();
-        }
-    }
-    topo
-}
-
-/// `BuildFn` for partitioned runs: no host-side stats sink, no supernode
-/// packing (incompatible with multi-process sharding), a few compute
-/// threads per worker.
-fn build_datacenter(spec: &str) -> SimResult<(Topology, SimConfig)> {
-    let dims = Dims::parse(spec)?;
-    let topo = datacenter_topology(dims, None);
-    let config = SimConfig {
-        host_threads: 4,
-        ..SimConfig::default()
-    };
-    Ok((topo, config))
-}
 
 /// Places the datacenter on the paper's EC2 fleet and prints the plan.
 fn place(dims: Dims, spot: bool) -> PlacementPlan {
@@ -177,7 +46,13 @@ fn place(dims: Dims, spot: bool) -> PlacementPlan {
     } else {
         FleetSpec::ec2_default()
     };
-    let topo = datacenter_topology(dims, None);
+    let topo = catalogue::datacenter(dims, None).unwrap_or_else(|e| die(&e.to_string()));
+    println!(
+        "topology: {} servers + {} loadgens, {} switches",
+        topo.server_count() / 2,
+        topo.server_count() / 2,
+        topo.switch_count(),
+    );
     let placement = fleet
         .place(&topo, &LoadProfile::uniform(), Cycle::new(6_400))
         .unwrap_or_else(|e| die(&format!("placement failed: {e}")));
@@ -221,13 +96,7 @@ fn die(msg: &str) -> ! {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        dims: Dims {
-            aggs: 4,
-            tors_per_agg: 8,
-            nodes_per_tor: 32,
-            requests: 40,
-            qps: 10_000.0,
-        },
+        dims: Dims::PAPER,
         placement_only: false,
         spot: false,
         workers: None,
@@ -257,7 +126,7 @@ fn parse_args() -> Options {
             "--aggs" => opts.dims.aggs = num(args.next(), "--aggs") as usize,
             "--tors" => opts.dims.tors_per_agg = num(args.next(), "--tors") as usize,
             "--nodes" => opts.dims.nodes_per_tor = num(args.next(), "--nodes") as usize,
-            "--requests" => opts.dims.requests = num(args.next(), "--requests") as usize,
+            "--requests" => opts.dims.requests = num(args.next(), "--requests"),
             "--qps" => opts.dims.qps = num(args.next(), "--qps") as f64,
             "--transport" => {
                 let v = args.next().unwrap_or_default();
@@ -287,7 +156,7 @@ fn run_placed(opts: &Options, placement: &PlacementPlan) -> ! {
         "\nexecuting the placement folded onto {workers} worker process(es) over {}",
         cfg.transport.as_str()
     );
-    match run_partitioned(build_datacenter, &cfg) {
+    match run_partitioned(catalogue::build, &cfg) {
         Ok(run) => {
             println!(
                 "simulated {} target cycles in {:?} across {} process(es), {} agents digested",
@@ -317,7 +186,7 @@ fn run_repartition_smoke(opts: &Options, placement: &PlacementPlan) -> ! {
 
     println!("\nrepartition smoke: straight run, {} cycles", opts.cycles);
     let straight = run_partitioned(
-        build_datacenter,
+        catalogue::build,
         &PartitionConfig::new(1, Cycle::new(opts.cycles), spec.clone()),
     )
     .unwrap_or_else(|report| {
@@ -335,7 +204,7 @@ fn run_repartition_smoke(opts: &Options, placement: &PlacementPlan) -> ! {
     );
     cfg.checkpoint_at = Some(Cycle::new(mid));
     cfg.checkpoint_out = Some(ckpt.clone());
-    let checkpointed = run_partitioned(build_datacenter, &cfg).unwrap_or_else(|report| {
+    let checkpointed = run_partitioned(catalogue::build, &cfg).unwrap_or_else(|report| {
         eprintln!("{report}");
         std::process::exit(1);
     });
@@ -349,7 +218,7 @@ fn run_repartition_smoke(opts: &Options, placement: &PlacementPlan) -> ! {
             .unwrap_or_else(|e| die(&e.to_string())),
     );
     cfg.restore_from = Some(ckpt.clone());
-    let resumed = run_partitioned(build_datacenter, &cfg).unwrap_or_else(|report| {
+    let resumed = run_partitioned(catalogue::build, &cfg).unwrap_or_else(|report| {
         eprintln!("{report}");
         std::process::exit(1);
     });
@@ -374,19 +243,13 @@ fn run_repartition_smoke(opts: &Options, placement: &PlacementPlan) -> ! {
 
 fn main() {
     // Worker processes re-exec this binary; hand them their shard first.
-    if firesim_manager::maybe_worker(build_datacenter) {
+    if firesim_manager::maybe_worker(catalogue::build) {
         return;
     }
     let opts = parse_args();
     let clock = Frequency::GHZ_3_2;
     let dims = opts.dims;
 
-    println!(
-        "topology: {} servers + {} loadgens, {} switches",
-        dims.aggs * dims.tors_per_agg * dims.nodes_per_tor / 2,
-        dims.aggs * dims.tors_per_agg * dims.nodes_per_tor / 2,
-        1 + dims.aggs + dims.aggs * dims.tors_per_agg,
-    );
     // "Place it like the paper": the fleet controller maps the tree onto
     // EC2 and models what a simulated hour costs.
     let placement = place(dims, opts.spot);
@@ -403,7 +266,7 @@ fn main() {
     // Monolithic in-process run with supernode packing and host-side
     // latency collection — the original §V-C measurement.
     let stats: StatsSink = Arc::new(Mutex::new(Vec::new()));
-    let topo = datacenter_topology(dims, Some(&stats));
+    let topo = catalogue::datacenter(dims, Some(&stats)).expect("placed dims are valid");
     let threads = std::thread::available_parallelism()
         .map(|n| n.get().saturating_sub(2).max(1))
         .unwrap_or(4);

@@ -59,13 +59,9 @@
 //! summary on stdout. `--trace-out PATH` enables span tracing and writes
 //! a Chrome `trace_event` JSON loadable in Perfetto or `chrome://tracing`.
 
-use firesim_blade::programs;
-use firesim_core::{Cycle, FaultPlan, Frequency, SimResult};
-use firesim_manager::{
-    run_partitioned, BladeSpec, PartitionConfig, SimConfig, SupervisorConfig, Topology,
-    TransportChoice,
-};
-use firesim_net::MacAddr;
+use firesim_core::{Cycle, FaultPlan, Frequency};
+use firesim_manager::catalogue::{self, QUICKSTART_PINGS};
+use firesim_manager::{run_partitioned, PartitionConfig, SupervisorConfig, TransportChoice};
 
 /// With `--stream-out -` the NDJSON feed owns stdout, so every
 /// human-readable line must move to stderr or it would corrupt the wire
@@ -96,52 +92,6 @@ fn chat_str(s: &str) {
 
 /// Target clock for every blade in the rack.
 const CLOCK: Frequency = Frequency::GHZ_3_2;
-/// How many pings the pinger program sends before powering off.
-const PINGS: usize = 10;
-
-/// Builds the quickstart rack: one ToR switch, a pinger, an echo server,
-/// and two idle nodes — the Rust analogue of the paper's Fig 4 config.
-///
-/// This is the [`firesim_manager::BuildFn`] shared by the in-process run
-/// and every partitioned worker process, so all of them deploy exactly
-/// the same target. The `spec` string is unused here (the topology is
-/// fixed) but the signature matches what `run_partitioned` forwards to
-/// workers.
-fn build_cluster(_spec: &str) -> SimResult<(Topology, SimConfig)> {
-    let link_latency = CLOCK.cycles_from_micros(2); // the paper's default
-
-    let mut topo = Topology::new();
-    let tor = topo.add_switch("tor0");
-    let pinger = topo.add_server(
-        "pinger",
-        BladeSpec::rtl_single_core(programs::ping_sender(
-            MacAddr::from_node_index(0),
-            MacAddr::from_node_index(1),
-            PINGS,
-            56,
-            CLOCK.cycles_from_micros(20).as_u64(),
-        )),
-    );
-    let echo = topo.add_server(
-        "echo",
-        BladeSpec::rtl_single_core(programs::echo_responder(PINGS)),
-    );
-    topo.add_downlinks(tor, [pinger, echo])
-        .expect("fresh switch has free ports");
-    for i in 0..2 {
-        let idle = topo.add_server(
-            format!("idle{i}"),
-            BladeSpec::rtl_single_core(programs::boot_poweroff(100)),
-        );
-        topo.add_downlink(tor, idle)
-            .expect("fresh switch has free ports");
-    }
-    let config = SimConfig {
-        link_latency,
-        ..SimConfig::default()
-    };
-    Ok((topo, config))
-}
 
 struct Options {
     checkpoint_every: Option<u64>,
@@ -328,7 +278,7 @@ fn run_distributed(opts: &Options) -> ! {
     let mut cfg = PartitionConfig::new(
         opts.workers.unwrap_or(1),
         Cycle::new(opts.cycles),
-        String::new(),
+        "quickstart".to_owned(),
     );
     cfg.transport = opts.transport;
     cfg.scenario = opts.scenario.clone();
@@ -339,7 +289,7 @@ fn run_distributed(opts: &Options) -> ! {
         cfg.workers,
         cfg.transport.as_str()
     );
-    match run_partitioned(build_cluster, &cfg) {
+    match run_partitioned(catalogue::build, &cfg) {
         Ok(run) => {
             chat!(
                 "simulated {} target cycles in {:?} across {} process(es)",
@@ -363,7 +313,7 @@ fn run_distributed(opts: &Options) -> ! {
 
 fn main() {
     // Worker processes re-exec this binary; hand them their shard first.
-    if firesim_manager::maybe_worker(build_cluster) {
+    if firesim_manager::maybe_worker(catalogue::build) {
         return;
     }
     let opts = parse_args();
@@ -374,10 +324,10 @@ fn main() {
         run_distributed(&opts);
     }
     let clock = CLOCK;
-    let pings = PINGS;
+    let pings = QUICKSTART_PINGS;
 
     // Build ("deploy") and run.
-    let (topo, config) = build_cluster("").expect("topology is valid");
+    let (topo, config) = catalogue::build("quickstart").expect("topology is valid");
     let link_latency = config.link_latency;
     // Compile the scenario against the topology's neutral view before
     // `build` consumes it; apply after build.

@@ -33,12 +33,12 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use firesim_blade::programs;
-use firesim_core::{Cycle, SimError, SimResult};
+use firesim_core::Cycle;
+use firesim_manager::catalogue::{self, Dims};
 use firesim_manager::{
     maybe_worker, run_partitioned, BladeSpec, FleetSpec, HostClass, LoadProfile, PartitionConfig,
-    PartitionPlan, PlacementPlan, SimConfig, Topology, TransportChoice,
+    PartitionPlan, PlacementPlan, Topology, TransportChoice,
 };
-use firesim_net::MacAddr;
 use firesim_platform::{InstanceType, TransportKind};
 
 /// Deterministic xorshift so "random" packer inputs are reproducible.
@@ -58,58 +58,18 @@ impl Rng {
     }
 }
 
-/// `BuildFn` shared by the parent and every worker: two racks with
+/// The catalogue target the differential checks deploy: two racks with
 /// cross-rack ping traffic (live frames cross every placement cut) plus
 /// idle nodes, big enough that a load-aware plan differs from the
 /// contiguous one.
-fn build_fleet_racks(spec: &str) -> SimResult<(Topology, SimConfig)> {
-    if spec != "fleet-racks" {
-        return Err(SimError::topology(format!("bad spec {spec:?}")));
-    }
-    let mut topo = Topology::new();
-    let root = topo.add_switch("root");
-    let rack0 = topo.add_switch("rack0");
-    let rack1 = topo.add_switch("rack1");
-    topo.add_downlinks(root, [rack0, rack1])
-        .expect("fresh switch has free ports");
-    let pinger = topo.add_server(
-        "pinger",
-        BladeSpec::rtl_single_core(programs::ping_sender(
-            MacAddr::from_node_index(0),
-            MacAddr::from_node_index(1),
-            8,
-            56,
-            64_000,
-        )),
-    );
-    let echo = topo.add_server(
-        "echo",
-        BladeSpec::rtl_single_core(programs::echo_responder(8)),
-    );
-    topo.add_downlink(rack0, pinger).expect("free port");
-    topo.add_downlink(rack1, echo).expect("free port");
-    for (rack, tag) in [(rack0, "a"), (rack1, "b")] {
-        for i in 0..2 {
-            let node = topo.add_server(
-                format!("idle_{tag}{i}"),
-                BladeSpec::rtl_single_core(programs::boot_poweroff(150 + 70 * i)),
-            );
-            topo.add_downlink(rack, node).expect("free port");
-        }
-    }
-    let config = SimConfig {
-        link_latency: Cycle::new(6_400),
-        ..SimConfig::default()
-    };
-    Ok((topo, config))
-}
+const SPEC: &str = "two_racks";
 
 const CYCLES: u64 = 500_000;
 const MID: u64 = 200_000;
 
-/// The kitchen-sink chaos script from the scenario suite, retargeted at
-/// the fleet-racks agents — the checkpoint at `MID` lands inside the
-/// partition window, so the repartitioned continuation must heal it.
+/// The scenario suite's kitchen-sink chaos script on the same target —
+/// the checkpoint at `MID` lands inside the partition window, so the
+/// repartitioned continuation must heal it.
 const SCRIPT: &str = r#"{
   "name": "fleet-mix", "seed": 11, "interval": 50000,
   "events": [
@@ -168,7 +128,7 @@ fn skewed_profile() -> LoadProfile {
 }
 
 fn load_aware_placement() -> PlacementPlan {
-    let (topo, config) = build_fleet_racks("fleet-racks").unwrap();
+    let (topo, config) = catalogue::build(SPEC).unwrap();
     blade_and_switch_fleet()
         .place(&topo, &skewed_profile(), config.link_latency)
         .expect("fleet has capacity")
@@ -194,7 +154,7 @@ fn placement_is_invisible(quick: bool) {
         "expected a many-host plan to fold from:\n{}",
         placement.describe()
     );
-    let (topo, _) = build_fleet_racks("fleet-racks").unwrap();
+    let (topo, _) = catalogue::build(SPEC).unwrap();
     for workers in [2usize, 4] {
         assert_ne!(
             placement.partition_for(workers).unwrap().encode(),
@@ -216,13 +176,12 @@ fn placement_is_invisible(quick: bool) {
     for &transport in transports {
         for workers in [1usize, 2, 4] {
             for load_aware in [false, true] {
-                let mut cfg =
-                    PartitionConfig::new(workers, Cycle::new(CYCLES), "fleet-racks".to_string());
+                let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), SPEC.to_string());
                 cfg.transport = transport;
                 if load_aware {
                     cfg.plan = Some(placement.partition_for(workers).unwrap());
                 }
-                let run = run_partitioned(build_fleet_racks, &cfg).unwrap_or_else(|report| {
+                let run = run_partitioned(catalogue::build, &cfg).unwrap_or_else(|report| {
                     panic!("{transport:?} x{workers} load_aware={load_aware} failed: {report}")
                 });
                 runs.push((transport, workers, load_aware, run));
@@ -254,15 +213,15 @@ fn placement_is_invisible(quick: bool) {
 fn placement_plan_executes_end_to_end() {
     let placement = load_aware_placement();
     let mono = run_partitioned(
-        build_fleet_racks,
-        &PartitionConfig::new(1, Cycle::new(CYCLES), "fleet-racks".to_string()),
+        catalogue::build,
+        &PartitionConfig::new(1, Cycle::new(CYCLES), SPEC.to_string()),
     )
     .unwrap_or_else(|report| panic!("monolithic run failed: {report}"));
 
-    let cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "fleet-racks".to_string())
-        .with_placement(&placement);
+    let cfg =
+        PartitionConfig::new(1, Cycle::new(CYCLES), SPEC.to_string()).with_placement(&placement);
     assert_eq!(cfg.workers, placement.workers());
-    let run = run_partitioned(build_fleet_racks, &cfg)
+    let run = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("placement-plan run failed: {report}"));
     assert_eq!(mono.digests, run.digests, "placement execution diverged");
     assert_eq!(
@@ -293,18 +252,18 @@ fn repartition_mid_run_matches_straight_run() {
 
     // A: the uninterrupted reference run.
     let straight = run_partitioned(
-        build_fleet_racks,
-        &PartitionConfig::new(1, Cycle::new(CYCLES), "fleet-racks".to_string()),
+        catalogue::build,
+        &PartitionConfig::new(1, Cycle::new(CYCLES), SPEC.to_string()),
     )
     .unwrap_or_else(|report| panic!("straight run failed: {report}"));
 
     // B: 4-way load-aware, checkpoint at MID (barrier-consistent), run on
     // to the end anyway — the checkpoint must be invisible.
-    let mut cfg = PartitionConfig::new(4, Cycle::new(CYCLES), "fleet-racks".to_string());
+    let mut cfg = PartitionConfig::new(4, Cycle::new(CYCLES), SPEC.to_string());
     cfg.plan = Some(placement.partition_for(4).unwrap());
     cfg.checkpoint_at = Some(Cycle::new(MID));
     cfg.checkpoint_out = Some(ckpt.clone());
-    let checkpointed = run_partitioned(build_fleet_racks, &cfg)
+    let checkpointed = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("checkpointing run failed: {report}"));
     assert!(ckpt.exists(), "parent must write the merged checkpoint");
     assert_eq!(
@@ -319,10 +278,10 @@ fn repartition_mid_run_matches_straight_run() {
 
     // C: restore into 2 workers under a different (folded load-aware)
     // plan and continue to the same absolute target.
-    let mut cfg = PartitionConfig::new(2, Cycle::new(CYCLES), "fleet-racks".to_string());
+    let mut cfg = PartitionConfig::new(2, Cycle::new(CYCLES), SPEC.to_string());
     cfg.plan = Some(placement.partition_for(2).unwrap());
     cfg.restore_from = Some(ckpt.clone());
-    let resumed = run_partitioned(build_fleet_racks, &cfg)
+    let resumed = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("repartitioned continuation failed: {report}"));
     assert_eq!(
         straight.digests, resumed.digests,
@@ -340,9 +299,9 @@ fn repartition_mid_run_matches_straight_run() {
 
     // The same checkpoint also restores monolithically (merged files are
     // name-sorted, not registration-ordered).
-    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "fleet-racks".to_string());
+    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), SPEC.to_string());
     cfg.restore_from = Some(ckpt.clone());
-    let mono = run_partitioned(build_fleet_racks, &cfg)
+    let mono = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("monolithic continuation failed: {report}"));
     assert_eq!(
         straight.digests, mono.digests,
@@ -361,9 +320,9 @@ fn repartition_mid_scenario_matches_digests() {
     let script = write_script("scenario");
     let ckpt = temp_path("repart-scenario.fsckpt");
 
-    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "fleet-racks".to_string());
+    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), SPEC.to_string());
     cfg.scenario = Some(script.display().to_string());
-    let straight = run_partitioned(build_fleet_racks, &cfg)
+    let straight = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("straight scenario run failed: {report}"));
     let timeline = straight
         .report
@@ -375,12 +334,12 @@ fn repartition_mid_scenario_matches_digests() {
         "the scripted partition masked no frames: {timeline:?}"
     );
 
-    let mut cfg = PartitionConfig::new(4, Cycle::new(CYCLES), "fleet-racks".to_string());
+    let mut cfg = PartitionConfig::new(4, Cycle::new(CYCLES), SPEC.to_string());
     cfg.plan = Some(placement.partition_for(4).unwrap());
     cfg.scenario = Some(script.display().to_string());
     cfg.checkpoint_at = Some(Cycle::new(MID));
     cfg.checkpoint_out = Some(ckpt.clone());
-    let checkpointed = run_partitioned(build_fleet_racks, &cfg)
+    let checkpointed = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("scenario checkpointing run failed: {report}"));
     assert_eq!(
         straight.digests, checkpointed.digests,
@@ -392,11 +351,11 @@ fn repartition_mid_scenario_matches_digests() {
         "mid-scenario checkpoint changed the aggregates (incl. timeline)"
     );
 
-    let mut cfg = PartitionConfig::new(2, Cycle::new(CYCLES), "fleet-racks".to_string());
+    let mut cfg = PartitionConfig::new(2, Cycle::new(CYCLES), SPEC.to_string());
     cfg.plan = Some(placement.partition_for(2).unwrap());
     cfg.scenario = Some(script.display().to_string());
     cfg.restore_from = Some(ckpt.clone());
-    let resumed = run_partitioned(build_fleet_racks, &cfg)
+    let resumed = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("mid-scenario repartition failed: {report}"));
     assert_eq!(
         straight.digests, resumed.digests,
@@ -547,30 +506,6 @@ fn packer_properties_hold(iters: usize) {
     }
 }
 
-/// The paper's 1024-node datacenter (4 aggs x 8 ToRs x 32 servers).
-fn datacenter_1024_topology() -> Topology {
-    let mut topo = Topology::new();
-    let root = topo.add_switch("root");
-    let mut count = 0usize;
-    for a in 0..4 {
-        let agg = topo.add_switch(format!("agg{a}"));
-        topo.add_downlink(root, agg).unwrap();
-        for t in 0..8 {
-            let tor = topo.add_switch(format!("tor{a}_{t}"));
-            topo.add_downlink(agg, tor).unwrap();
-            for _ in 0..32 {
-                let node = topo.add_server(
-                    format!("node{count}"),
-                    BladeSpec::rtl_single_core(programs::boot_poweroff(1)),
-                );
-                topo.add_downlink(tor, node).unwrap();
-                count += 1;
-            }
-        }
-    }
-    topo
-}
-
 fn get_f64(obj: &serde_json::Value, key: &str) -> f64 {
     obj.as_object()
         .and_then(|o| o.get(key))
@@ -599,7 +534,7 @@ fn paper_cost_model_matches_baseline() {
     let ondemand = obj.get("ondemand").expect("baseline.ondemand");
     let spot = obj.get("spot").expect("baseline.spot");
 
-    let topo = datacenter_1024_topology();
+    let topo = catalogue::datacenter(Dims::PAPER, None).expect("the paper's dims are valid");
     let placement = FleetSpec::ec2_default()
         .place(&topo, &LoadProfile::uniform(), Cycle::new(6_400))
         .expect("the EC2 fleet fits the 1024-node datacenter");
@@ -653,7 +588,7 @@ fn paper_cost_model_matches_baseline() {
 fn main() {
     // Worker processes re-exec this binary with shard assignments in the
     // environment; this call never returns for them.
-    if maybe_worker(build_fleet_racks) {
+    if maybe_worker(catalogue::build) {
         return;
     }
     let quick = std::env::args().any(|a| a == "--quick");

@@ -8,45 +8,20 @@
 
 use std::time::Duration;
 
-use firesim_blade::programs;
 use firesim_core::{Cycle, RunSummary};
-use firesim_manager::{BladeSpec, RunReport, SimConfig, Simulation, Topology};
-use firesim_net::MacAddr;
+use firesim_manager::catalogue::{self, QUICKSTART_PINGS as PINGS};
+use firesim_manager::{RunReport, SimConfig, Simulation};
 
-const PINGS: usize = 4;
 const LINK_LATENCY: u64 = 400;
 
-/// The quickstart cluster at test scale: one ToR switch, a pinger, an
-/// echo server, and two idle nodes.
+/// The catalogue's quickstart cluster at test scale: one ToR switch, a
+/// pinger, an echo server, and two idle nodes, on short links.
 fn build_quickstart(host_threads: usize) -> Simulation {
-    let mut topo = Topology::new();
-    let tor = topo.add_switch("tor0");
-    let pinger = topo.add_server(
-        "pinger",
-        BladeSpec::rtl_single_core(programs::ping_sender(
-            MacAddr::from_node_index(0),
-            MacAddr::from_node_index(1),
-            PINGS,
-            56,
-            10_000,
-        )),
-    );
-    let echo = topo.add_server(
-        "echo",
-        BladeSpec::rtl_single_core(programs::echo_responder(PINGS)),
-    );
-    topo.add_downlinks(tor, [pinger, echo]).unwrap();
-    for i in 0..2 {
-        let idle = topo.add_server(
-            format!("idle{i}"),
-            BladeSpec::rtl_single_core(programs::boot_poweroff(100)),
-        );
-        topo.add_downlink(tor, idle).unwrap();
-    }
+    let (topo, config) = catalogue::build("quickstart").expect("catalogue entry");
     topo.build(SimConfig {
         link_latency: Cycle::new(LINK_LATENCY),
         host_threads,
-        ..SimConfig::default()
+        ..config
     })
     .expect("valid topology")
 }

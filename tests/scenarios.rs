@@ -15,56 +15,15 @@
 //! `harness = false`: worker processes re-exec this binary, so `main`
 //! must route them into their shard before any test logic runs.
 
-use firesim_blade::programs;
-use firesim_core::{Cycle, SimError, SimResult};
+use firesim_core::{Cycle, SimError};
+use firesim_manager::catalogue;
 use firesim_manager::scenario::parse;
-use firesim_manager::{
-    maybe_worker, run_partitioned, BladeSpec, PartitionConfig, SimConfig, Topology, TransportChoice,
-};
-use firesim_net::MacAddr;
+use firesim_manager::{maybe_worker, run_partitioned, PartitionConfig, TransportChoice};
 
-/// `BuildFn` shared by the parent and every worker: a two-rack cluster
-/// with cross-rack ping traffic, so the scenario's cut links carry live
-/// frames and cross every partition boundary.
-fn build_two_racks(spec: &str) -> SimResult<(Topology, SimConfig)> {
-    if spec != "two-racks" {
-        return Err(SimError::topology(format!("bad spec {spec:?}")));
-    }
-    let mut topo = Topology::new();
-    let root = topo.add_switch("root");
-    let rack0 = topo.add_switch("rack0");
-    let rack1 = topo.add_switch("rack1");
-    topo.add_downlinks(root, [rack0, rack1])
-        .expect("fresh switch has free ports");
-    let pinger = topo.add_server(
-        "pinger",
-        BladeSpec::rtl_single_core(programs::ping_sender(
-            MacAddr::from_node_index(0),
-            MacAddr::from_node_index(1),
-            8,
-            56,
-            64_000,
-        )),
-    );
-    let echo = topo.add_server(
-        "echo",
-        BladeSpec::rtl_single_core(programs::echo_responder(8)),
-    );
-    topo.add_downlink(rack0, pinger).expect("free port");
-    topo.add_downlink(rack1, echo).expect("free port");
-    for (rack, tag) in [(rack0, "a"), (rack1, "b")] {
-        let node = topo.add_server(
-            format!("idle_{tag}"),
-            BladeSpec::rtl_single_core(programs::boot_poweroff(200)),
-        );
-        topo.add_downlink(rack, node).expect("free port");
-    }
-    let config = SimConfig {
-        link_latency: Cycle::new(6_400),
-        ..SimConfig::default()
-    };
-    Ok((topo, config))
-}
+/// The catalogue target every check deploys: two racks with cross-rack
+/// ping traffic, so the scenario's cut links carry live frames and cross
+/// every partition boundary.
+const SPEC: &str = "two_racks";
 
 const CYCLES: u64 = 500_000;
 
@@ -106,11 +65,10 @@ fn scenario_is_partition_invariant() {
         TransportChoice::Unix,
     ] {
         for workers in [1usize, 2, 4] {
-            let mut cfg =
-                PartitionConfig::new(workers, Cycle::new(CYCLES), "two-racks".to_string());
+            let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), SPEC.to_string());
             cfg.transport = transport;
             cfg.scenario = Some(script.display().to_string());
-            let run = run_partitioned(build_two_racks, &cfg)
+            let run = run_partitioned(catalogue::build, &cfg)
                 .unwrap_or_else(|report| panic!("{transport:?} x{workers} failed: {report}"));
             let tl = run
                 .report
@@ -155,7 +113,7 @@ fn checkpoint_mid_partition_resumes_scenario() {
     let scenario = parse(SCRIPT).expect("script parses");
 
     // Uninterrupted scenario run.
-    let (topo, config) = build_two_racks("two-racks").unwrap();
+    let (topo, config) = catalogue::build(SPEC).unwrap();
     let compiled = scenario.compile(&topo.scenario_topology()).unwrap();
     let mut sim = topo.build(config).unwrap();
     sim.apply_scenario(&compiled).unwrap();
@@ -166,7 +124,7 @@ fn checkpoint_mid_partition_resumes_scenario() {
     // Same run, but checkpointed around 150k — inside the [100k, 250k)
     // partition window (the engine advances in token-window quanta, so
     // anchor on the cycle it actually reached).
-    let (topo, config) = build_two_racks("two-racks").unwrap();
+    let (topo, config) = catalogue::build(SPEC).unwrap();
     let compiled = scenario.compile(&topo.scenario_topology()).unwrap();
     let mut sim = topo.build(config).unwrap();
     sim.apply_scenario(&compiled).unwrap();
@@ -179,7 +137,7 @@ fn checkpoint_mid_partition_resumes_scenario() {
     let cp = sim.checkpoint().unwrap();
 
     // Fresh deployment, scenario re-applied, state restored mid-window.
-    let (topo, config) = build_two_racks("two-racks").unwrap();
+    let (topo, config) = catalogue::build(SPEC).unwrap();
     let compiled = scenario.compile(&topo.scenario_topology()).unwrap();
     let mut sim = topo.build(config).unwrap();
     sim.apply_scenario(&compiled).unwrap();
@@ -207,10 +165,9 @@ fn noop_scenario_is_invisible() {
     let mut digests = Vec::new();
     for scenario in [None, Some(script.display().to_string())] {
         for workers in [1usize, 2] {
-            let mut cfg =
-                PartitionConfig::new(workers, Cycle::new(CYCLES), "two-racks".to_string());
+            let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), SPEC.to_string());
             cfg.scenario = scenario.clone();
-            let run = run_partitioned(build_two_racks, &cfg)
+            let run = run_partitioned(catalogue::build, &cfg)
                 .unwrap_or_else(|report| panic!("noop x{workers} failed: {report}"));
             assert!(
                 run.report.timeline.is_none(),
@@ -230,7 +187,7 @@ fn noop_scenario_is_invisible() {
 /// before any cycle runs — both in-process and through the partitioned
 /// runner.
 fn bad_targets_are_rejected_at_setup() {
-    let (topo, _) = build_two_racks("two-racks").unwrap();
+    let (topo, _) = catalogue::build(SPEC).unwrap();
     let view = topo.scenario_topology();
 
     let ghost = parse(
@@ -260,9 +217,9 @@ fn bad_targets_are_rejected_at_setup() {
         "bad",
         r#"{"events": [{"kind": "partition", "from": 0, "until": 10, "islands": [["ghost"]]}]}"#,
     );
-    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "two-racks".to_string());
+    let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), SPEC.to_string());
     cfg.scenario = Some(script.display().to_string());
-    let report = match run_partitioned(build_two_racks, &cfg) {
+    let report = match run_partitioned(catalogue::build, &cfg) {
         Err(report) => report,
         Ok(_) => panic!("bad scenario target accepted by the partitioned runner"),
     };
@@ -276,7 +233,7 @@ fn bad_targets_are_rejected_at_setup() {
 fn main() {
     // Worker processes re-exec this binary with shard assignments in the
     // environment; this call never returns for them.
-    if maybe_worker(build_two_racks) {
+    if maybe_worker(catalogue::build) {
         return;
     }
 

@@ -20,62 +20,20 @@
 
 use std::path::PathBuf;
 
-use firesim_blade::programs;
-use firesim_core::{Cycle, Frequency, SimResult};
+use firesim_core::Cycle;
+use firesim_manager::catalogue;
 use firesim_manager::{
-    maybe_worker, run_partitioned, BladeSpec, PartitionConfig, SimConfig, StreamRecord, Topology,
-    TransportChoice,
+    maybe_worker, run_partitioned, PartitionConfig, StreamRecord, TransportChoice,
 };
-use firesim_net::MacAddr;
 
-/// The quickstart rack, byte-for-byte (examples/quickstart.rs): one ToR,
-/// a pinger, an echo server, two idle nodes, 2 us links at 3.2 GHz. The
-/// golden fixture is this topology's stream, so the committed fixture
-/// also pins the example's `--stream-out` output (CI diffs both).
-fn build_cluster(_spec: &str) -> SimResult<(Topology, SimConfig)> {
-    const CLOCK: Frequency = Frequency::GHZ_3_2;
-    const PINGS: usize = 10;
-    let link_latency = CLOCK.cycles_from_micros(2);
-
-    let mut topo = Topology::new();
-    let tor = topo.add_switch("tor0");
-    let pinger = topo.add_server(
-        "pinger",
-        BladeSpec::rtl_single_core(programs::ping_sender(
-            MacAddr::from_node_index(0),
-            MacAddr::from_node_index(1),
-            PINGS,
-            56,
-            CLOCK.cycles_from_micros(20).as_u64(),
-        )),
-    );
-    let echo = topo.add_server(
-        "echo",
-        BladeSpec::rtl_single_core(programs::echo_responder(PINGS)),
-    );
-    topo.add_downlinks(tor, [pinger, echo])
-        .expect("fresh switch has free ports");
-    for i in 0..2 {
-        let idle = topo.add_server(
-            format!("idle{i}"),
-            BladeSpec::rtl_single_core(programs::boot_poweroff(100)),
-        );
-        topo.add_downlink(tor, idle)
-            .expect("fresh switch has free ports");
-    }
-    let config = SimConfig {
-        link_latency,
-        ..SimConfig::default()
-    };
-    Ok((topo, config))
-}
-
-/// Streams the quickstart rack exactly like `quickstart --stream-out`
-/// does (same meta, horizon, interval, stop-when-done) and returns the
-/// raw NDJSON text.
+/// Streams the catalogue's quickstart rack exactly like
+/// `quickstart --stream-out` does (same meta, horizon, interval,
+/// stop-when-done) and returns the raw NDJSON text. The golden fixture
+/// is this stream, so it also pins the example's `--stream-out` output
+/// (CI diffs both).
 fn quickstart_stream() -> String {
     let out = scratch_path("golden.ndjson");
-    let (topo, config) = build_cluster("").expect("topology is valid");
+    let (topo, config) = catalogue::build("quickstart").expect("topology is valid");
     let mut sim = topo.build(config).expect("topology is valid");
     sim.enable_metrics();
     let writer = firesim_manager::StreamWriter::open(out.to_str().unwrap()).expect("open sink");
@@ -188,12 +146,12 @@ fn run_once(
     transport: TransportChoice,
     stream: Option<PathBuf>,
 ) -> (Vec<(String, u64)>, u64, Option<String>) {
-    let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), String::new());
+    let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), "quickstart".to_owned());
     cfg.transport = transport;
     let stream_path = stream.clone();
     cfg.stream = stream.map(|p| p.to_str().unwrap().to_owned());
     cfg.stream_interval = Some(100_000);
-    let run = run_partitioned(build_cluster, &cfg)
+    let run = run_partitioned(catalogue::build, &cfg)
         .unwrap_or_else(|report| panic!("{workers}w {transport:?} failed: {report}"));
     let text = stream_path.map(|p| {
         let text = std::fs::read_to_string(&p).expect("stream file written");
@@ -286,10 +244,10 @@ fn stream_is_invisible() {
 /// debug test run.
 fn overhead_guard() {
     let run_wall = |stream: Option<PathBuf>| -> std::time::Duration {
-        let mut cfg = PartitionConfig::new(1, Cycle::new(2_000_000), String::new());
+        let mut cfg = PartitionConfig::new(1, Cycle::new(2_000_000), "quickstart".to_owned());
         cfg.stream = stream.map(|p| p.to_str().unwrap().to_owned());
         cfg.stream_interval = Some(100_000);
-        let run = run_partitioned(build_cluster, &cfg).expect("run succeeds");
+        let run = run_partitioned(catalogue::build, &cfg).expect("run succeeds");
         run.wall
     };
     let mut plain = std::time::Duration::MAX;
@@ -311,7 +269,7 @@ fn overhead_guard() {
 fn main() {
     // Worker processes re-exec this binary with shard assignments in the
     // environment; this call never returns for them.
-    if maybe_worker(build_cluster) {
+    if maybe_worker(catalogue::build) {
         return;
     }
 
