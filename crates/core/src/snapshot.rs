@@ -40,6 +40,12 @@ impl SnapshotWriter {
         SnapshotWriter { buf: Vec::new() }
     }
 
+    /// Creates a writer that appends after `buf`'s existing bytes, so an
+    /// encoder can reuse one allocation across frames.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        SnapshotWriter { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -172,25 +172,66 @@ impl Snapshot for FrameDeframer {
 /// Hard ceiling on a single token frame, to catch stream corruption early.
 ///
 /// A window of `W` tokens serialises to a few bytes per *occupied* token plus
-/// a constant header, so even pathological windows stay far below this. A
-/// length prefix above the ceiling means the byte stream has desynchronised
-/// (or a peer speaks a different protocol), and the decoder fails fast
-/// instead of attempting a multi-gigabyte allocation.
+/// a constant header, so even a round frame carrying many pathological
+/// windows stays far below this. A length prefix above the ceiling means the
+/// byte stream has desynchronised (or a peer speaks a different protocol),
+/// and the decoder fails fast instead of attempting a multi-gigabyte
+/// allocation.
 pub const MAX_TOKEN_FRAME_BYTES: usize = 1 << 26; // 64 MiB
 
-/// Serialises one token window into a length-prefixed wire frame.
+/// Bytes in front of every entry's window: `[u32 link][u64 seq]`.
+const ENTRY_HEADER_BYTES: usize = 12;
+
+/// Appends one link's window to the round frame being built in `frame`.
 ///
-/// This is the unit of inter-process exchange for distributed simulation
-/// (§III-B2): one frame carries exactly one link-latency batch of tokens.
-/// The layout is
+/// The round frame is the unit of inter-process exchange for distributed
+/// simulation (§III-B2): it carries one link-latency batch of tokens for
+/// each cut link between two shards, so a simulated round costs one send
+/// per peer shard, not one per link. The layout is
 ///
 /// ```text
-/// [u32 len (LE)] [u64 seq (LE)] [TokenWindow snapshot bytes]
-///  ^len counts everything after itself: 8 + snapshot length
+/// [u32 len (LE)] { [u32 link (LE)] [u64 seq (LE)] [TokenWindow snapshot bytes] }+
+///  ^len counts everything after itself
 /// ```
 ///
-/// `seq` is a per-link monotonic batch counter; the receiver uses it to
+/// `link` indexes the connection's links in an order both shards derive
+/// from the topology, and entries appear in increasing `link` order.
+/// `seq` is that link's monotonic batch counter; the receiver uses it to
 /// assert that no window was dropped or reordered by the transport.
+///
+/// An empty `frame` starts a new frame; [`seal_round_frame`] writes the
+/// length prefix once every entry is in.
+pub fn push_round_entry<T: Snapshot>(
+    frame: &mut Vec<u8>,
+    link: u32,
+    seq: u64,
+    window: &TokenWindow<T>,
+) {
+    if frame.is_empty() {
+        frame.extend_from_slice(&[0; 4]);
+    }
+    frame.extend_from_slice(&link.to_le_bytes());
+    frame.extend_from_slice(&seq.to_le_bytes());
+    let mut w = SnapshotWriter::from_vec(std::mem::take(frame));
+    window.save(&mut w);
+    *frame = w.into_bytes();
+}
+
+/// Writes the length prefix of a round frame built by [`push_round_entry`].
+///
+/// # Panics
+///
+/// Panics if `frame` holds no entry or outgrows the `u32` length prefix.
+pub fn seal_round_frame(frame: &mut [u8]) {
+    assert!(frame.len() > 4, "a round frame needs at least one entry");
+    let len = u32::try_from(frame.len() - 4).expect("token frame exceeds u32 length prefix");
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Serialises one token window as a one-link round frame (link 0).
+///
+/// This is [`push_round_entry`] and [`seal_round_frame`] for a connection
+/// that carries a single link: the same framing, one entry.
 ///
 /// # Examples
 ///
@@ -209,23 +250,20 @@ pub const MAX_TOKEN_FRAME_BYTES: usize = 1 << 26; // 64 MiB
 /// assert_eq!(got.get(3), Some(&0xFEED));
 /// ```
 pub fn encode_token_frame<T: Snapshot>(seq: u64, window: &TokenWindow<T>) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    window.save(&mut w);
-    let body = w.into_bytes();
-    let len = u32::try_from(8 + body.len()).expect("token frame exceeds u32 length prefix");
-    let mut out = Vec::with_capacity(4 + len as usize);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let mut frame = Vec::new();
+    push_round_entry(&mut frame, 0, seq, window);
+    seal_round_frame(&mut frame);
+    frame
 }
 
-/// Streaming decoder for [`encode_token_frame`] byte streams.
+/// Streaming decoder for round-frame byte streams.
 ///
 /// Socket reads deliver arbitrary byte runs — half a header, three frames
 /// and a tail, etc. Feed whatever arrived with [`feed`](TokenDeframer::feed)
-/// and pull complete frames with [`next_frame`](TokenDeframer::next_frame)
-/// until it returns `None`; partial data stays buffered across calls.
+/// and pull complete frames with [`next_round`](TokenDeframer::next_round)
+/// (or, on a one-link stream, [`next_frame`](TokenDeframer::next_frame))
+/// until it reports that more bytes are needed; partial data stays
+/// buffered across calls.
 #[derive(Debug, Default)]
 pub struct TokenDeframer {
     buf: Vec<u8>,
@@ -257,22 +295,81 @@ impl TokenDeframer {
         self.buf.len() - self.start
     }
 
-    /// Decodes the next complete frame, or `None` if more bytes are needed.
+    /// Decodes the next complete round frame into `out` as `(link,
+    /// window)` pairs, in frame order, checking every link's sequence
+    /// number. Returns `Ok(false)` if more bytes are needed.
+    ///
+    /// `seqs[i]` is the sequence number link `i` must carry next and
+    /// advances with every entry decoded for it, so `seqs.len()` is the
+    /// connection's link count. `out` grows by at most that many entries
+    /// per frame.
     ///
     /// # Errors
     ///
-    /// Fails if the length prefix is shorter than the mandatory `seq` field
-    /// or larger than [`MAX_TOKEN_FRAME_BYTES`] (stream corruption), or if
-    /// the snapshot payload does not decode as a `TokenWindow<T>`.
+    /// Returns [`SimError::Protocol`] for anything that is not a well-formed
+    /// round: a length prefix shorter than one entry or above
+    /// [`MAX_TOKEN_FRAME_BYTES`], a link index out of range or out of
+    /// order, a sequence gap or duplicate, an undecodable window, or
+    /// trailing bytes. The stream cannot be trusted after an error.
+    pub fn next_round<T: Snapshot>(
+        &mut self,
+        seqs: &mut [u64],
+        out: &mut Vec<(usize, TokenWindow<T>)>,
+    ) -> SimResult<bool> {
+        let decoded = self.decode_frame(seqs.len(), |link, seq, window| {
+            let expected = &mut seqs[link];
+            if seq != *expected {
+                return Err(SimError::protocol(format!(
+                    "token window sequence gap on link {link}: expected {expected}, \
+                     received {seq} (a batch was dropped, duplicated, or reordered in transit)"
+                )));
+            }
+            *expected += 1;
+            out.push((link, window));
+            Ok(())
+        });
+        match decoded {
+            Ok(done) => Ok(done),
+            Err(e @ SimError::Protocol { .. }) => Err(e),
+            Err(e) => Err(SimError::protocol(format!("undecodable token window: {e}"))),
+        }
+    }
+
+    /// Decodes the next complete frame of a one-link stream, or `None` if
+    /// more bytes are needed. The frame's sequence number is returned, not
+    /// checked.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the length prefix is shorter than one entry header or
+    /// larger than [`MAX_TOKEN_FRAME_BYTES`] (stream corruption), if the
+    /// frame holds anything but one entry for link 0, or if the snapshot
+    /// payload does not decode as a `TokenWindow<T>`.
     pub fn next_frame<T: Snapshot>(&mut self) -> SimResult<Option<(u64, TokenWindow<T>)>> {
+        let mut got = None;
+        let done = self.decode_frame(1, |_, seq, window| {
+            got = Some((seq, window));
+            Ok(())
+        })?;
+        Ok(if done { got } else { None })
+    }
+
+    /// Decodes the next complete frame, handing each entry to `each` as
+    /// `(link, seq, window)`. Returns `Ok(false)` if more bytes are needed;
+    /// the frame is consumed once every entry has decoded.
+    fn decode_frame<T: Snapshot>(
+        &mut self,
+        links: usize,
+        mut each: impl FnMut(usize, u64, TokenWindow<T>) -> SimResult<()>,
+    ) -> SimResult<bool> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
-            return Ok(None);
+            return Ok(false);
         }
         let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
-        if len < 8 {
+        if len < ENTRY_HEADER_BYTES {
             return Err(SimError::protocol(format!(
-                "token frame length {len} is shorter than its seq header"
+                "token frame length {len} is shorter than its link and seq header"
             )));
         }
         if len > MAX_TOKEN_FRAME_BYTES {
@@ -282,20 +379,31 @@ impl TokenDeframer {
             )));
         }
         if avail.len() < 4 + len {
-            return Ok(None);
+            return Ok(false);
         }
-        let seq = u64::from_le_bytes(avail[4..12].try_into().unwrap());
-        let body = &avail[12..4 + len];
-        let mut r = SnapshotReader::new(body);
-        let window = TokenWindow::<T>::load(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SimError::protocol(format!(
-                "token frame seq {seq} has {} trailing bytes after the window payload",
-                r.remaining()
-            )));
+        let mut r = SnapshotReader::new(&avail[4..4 + len]);
+        // Links appear in increasing order, each at most once per frame.
+        let mut lowest = 0;
+        while r.remaining() > 0 {
+            if r.remaining() < ENTRY_HEADER_BYTES {
+                return Err(SimError::protocol(format!(
+                    "token frame has {} trailing bytes after its last window",
+                    r.remaining()
+                )));
+            }
+            let link = r.get_u32()? as usize;
+            let seq = r.get_u64()?;
+            if link < lowest || link >= links {
+                return Err(SimError::protocol(format!(
+                    "token frame entry for link {link} is out of order or beyond \
+                     the connection's {links} link(s)"
+                )));
+            }
+            lowest = link + 1;
+            each(link, seq, TokenWindow::load(&mut r)?)?;
         }
         self.start += 4 + len;
-        Ok(Some((seq, window)))
+        Ok(true)
     }
 }
 
@@ -480,12 +588,74 @@ mod tests {
         // A window off the wire claiming to cover zero cycles is a typed
         // error for the pump to report, not a panic that kills it.
         let mut wire = encode_token_frame(5, &window(8, &[]));
-        wire[12..16].copy_from_slice(&0u32.to_le_bytes());
+        // The window's cycle count follows the length, link and seq fields.
+        wire[16..20].copy_from_slice(&0u32.to_le_bytes());
         let mut d = TokenDeframer::new();
         d.feed(&wire);
         assert!(matches!(
             d.next_frame::<u64>(),
             Err(SimError::Checkpoint { .. })
         ));
+    }
+
+    /// Encodes one round: `(link, seq, window)` entries in frame order.
+    fn round(entries: &[(u32, u64, TokenWindow<u64>)]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        for (link, seq, w) in entries {
+            push_round_entry(&mut frame, *link, *seq, w);
+        }
+        seal_round_frame(&mut frame);
+        frame
+    }
+
+    #[test]
+    fn round_frames_demultiplex_by_link() {
+        let mut wire = round(&[
+            (0, 0, window(8, &[(1, 10)])),
+            (1, 0, window(8, &[])),
+            (2, 0, window(8, &[(7, 12)])),
+        ]);
+        // A later round may carry any subset of the links, still in order.
+        wire.extend(round(&[
+            (0, 1, window(8, &[(2, 20)])),
+            (2, 1, window(8, &[])),
+        ]));
+        let mut d = TokenDeframer::new();
+        d.feed(&wire);
+        let mut seqs = [0u64; 3];
+        let mut out = Vec::new();
+        assert!(d.next_round::<u64>(&mut seqs, &mut out).unwrap());
+        let got: Vec<_> = out.iter().map(|(l, w)| (*l, w.occupancy())).collect();
+        assert_eq!(got, vec![(0, 1), (1, 0), (2, 1)]);
+        assert_eq!(out[2].1.get(7), Some(&12));
+        out.clear();
+        assert!(d.next_round::<u64>(&mut seqs, &mut out).unwrap());
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].1.get(2), Some(&20));
+        assert_eq!(seqs, [2, 1, 2]);
+        assert!(!d.next_round::<u64>(&mut seqs, &mut out).unwrap());
+        assert_eq!(d.buffered_bytes(), 0);
+    }
+
+    #[test]
+    fn round_frames_reject_bad_links_and_seqs() {
+        let w = || window(4, &[]);
+        for (entries, seqs) in [
+            (vec![(3, 0, w())], [0u64; 3]),           // link out of range
+            (vec![(1, 0, w()), (0, 0, w())], [0; 3]), // links out of order
+            (vec![(1, 0, w()), (1, 1, w())], [0; 3]), // link repeated
+            (vec![(0, 1, w())], [0; 3]),              // seq gap
+            (vec![(2, 4, w())], [0, 0, 5]),           // seq duplicate
+        ] {
+            let mut d = TokenDeframer::new();
+            d.feed(&round(&entries));
+            let mut seqs = seqs;
+            let err = d.next_round::<u64>(&mut seqs, &mut Vec::new()).unwrap_err();
+            assert!(matches!(err, SimError::Protocol { .. }), "{err}");
+        }
+        // A one-link stream refuses a frame for any other link.
+        let mut d = TokenDeframer::new();
+        d.feed(&round(&[(1, 0, w())]));
+        assert!(d.next_frame::<u64>().is_err());
     }
 }

@@ -35,7 +35,10 @@ pub mod codec;
 pub mod frame;
 pub mod switch;
 
-pub use codec::{encode_token_frame, FrameDeframer, FrameFramer, TokenDeframer};
+pub use codec::{
+    encode_token_frame, push_round_entry, seal_round_frame, FrameDeframer, FrameFramer,
+    TokenDeframer,
+};
 pub use frame::{EtherType, EthernetFrame, Flit, MacAddr};
 pub use switch::{RouteDecision, Switch, SwitchConfig, SwitchPolicy, SwitchStats};
 

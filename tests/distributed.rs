@@ -4,6 +4,8 @@
 //!   produces bit-identical per-agent checkpoint digests and identical
 //!   deterministic report aggregates, over several seeded topologies and
 //!   every transport backend;
+//! * every worker ships exactly one round frame per peer shard per
+//!   simulated round, however many links the cut puts between them;
 //! * killing one worker mid-run yields a `FailureReport` that names the
 //!   dead shard.
 //!
@@ -12,10 +14,14 @@
 //! default libtest harness would try to parse the worker env as test
 //! filters.
 
+use std::collections::BTreeSet;
+use std::path::Path;
+
 use firesim_blade::programs;
 use firesim_core::{Cycle, SimError, SimResult};
 use firesim_manager::{
-    maybe_worker, run_partitioned, BladeSpec, PartitionConfig, SimConfig, Topology, TransportChoice,
+    maybe_worker, run_partitioned, BladeSpec, PartitionConfig, PartitionPlan, RunReport, SimConfig,
+    Topology, TransportChoice,
 };
 use firesim_net::MacAddr;
 
@@ -121,8 +127,19 @@ const CYCLES: u64 = 500_000;
 fn partitioning_is_invisible(seed: u64, transport: TransportChoice) {
     let mut runs = Vec::new();
     for workers in [1usize, 2, 4] {
-        let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), format!("seed={seed}"));
+        let spec = format!("seed={seed}");
+        let mut cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), spec.clone());
         cfg.transport = transport;
+        // A given rendezvous directory outlives the run, so the test can
+        // read every worker's own report.
+        let dir = std::env::temp_dir().join(format!(
+            "firesim-distributed-{}-{seed}-{workers}-{}",
+            std::process::id(),
+            transport.as_str()
+        ));
+        if workers > 1 {
+            cfg.rendezvous = Some(dir.clone());
+        }
         let run = run_partitioned(build_seeded, &cfg)
             .unwrap_or_else(|report| panic!("seed {seed} x{workers} failed: {report}"));
         assert!(
@@ -130,6 +147,10 @@ fn partitioning_is_invisible(seed: u64, transport: TransportChoice) {
             "expected every agent digested, got {:?}",
             run.digests
         );
+        if workers > 1 {
+            one_send_per_peer_per_round(&spec, workers, &dir, &run.report);
+            std::fs::remove_dir_all(&dir).ok();
+        }
         runs.push((workers, run));
     }
     let (_, baseline) = &runs[0];
@@ -148,6 +169,65 @@ fn partitioning_is_invisible(seed: u64, transport: TransportChoice) {
             "seed {seed}: {workers}-way report aggregates differ ({transport:?})"
         );
     }
+}
+
+/// The value of counter `name` in `report` (0 when absent).
+fn counter(report: &RunReport, name: &str) -> u64 {
+    report
+        .counters
+        .iter()
+        .find(|(k, _)| k == name)
+        .map_or(0, |(_, v)| *v)
+}
+
+/// The coalescing check: each worker of a `workers`-way run of `spec`
+/// sent exactly one frame per peer shard per simulated round — not one per
+/// cut link — and the fleet report sums the workers' counts. Peers are
+/// counted from the shard's own boundary ports, rounds from the cycles its
+/// report reached.
+fn one_send_per_peer_per_round(spec: &str, workers: usize, dir: &Path, fleet: &RunReport) {
+    let (topo, _) = build_seeded(spec).expect("spec builds");
+    let plan = PartitionPlan::contiguous(&topo, workers).expect("plan");
+    let (mut sends, mut bytes) = (0, 0);
+    for shard in 0..workers {
+        let (topo, config) = build_seeded(spec).expect("spec builds");
+        let window = config.link_latency.as_u64();
+        let mut sim = topo
+            .build_shard(config, &plan, shard)
+            .expect("shard builds");
+        let ports = sim.take_boundaries();
+        let peers: BTreeSet<usize> = ports
+            .outputs
+            .iter()
+            .map(|(_, peer, _)| *peer)
+            .chain(ports.inputs.iter().map(|(_, peer, _)| *peer))
+            .collect();
+        let links = ports.outputs.len();
+
+        let path = dir.join(format!("shard{shard}.result.json"));
+        let text = std::fs::read_to_string(&path).expect("worker result");
+        let result = serde_json::from_str(&text).expect("worker result parses");
+        let report = result
+            .as_object()
+            .and_then(|obj| obj.get("report"))
+            .map(|r| RunReport::from_json(&r.to_string_pretty()).expect("shard report"))
+            .expect("worker result has a report");
+        // Every round moves one window of the link latency.
+        assert_eq!(report.cycles % window, 0, "runs end on a window boundary");
+        let rounds = report.cycles / window;
+        let shard_sends = counter(&report, "host_transport_sends");
+        assert_eq!(
+            shard_sends,
+            rounds * peers.len() as u64,
+            "{spec} x{workers} shard {shard}: {rounds} rounds, {} peer(s), {links} cut link(s)",
+            peers.len()
+        );
+        assert!(counter(&report, "host_transport_bytes") > 0);
+        sends += shard_sends;
+        bytes += counter(&report, "host_transport_bytes");
+    }
+    assert_eq!(counter(fleet, "host_transport_sends"), sends);
+    assert_eq!(counter(fleet, "host_transport_bytes"), bytes);
 }
 
 /// The decode-cache acceptance check: the same seeded topology run with
