@@ -37,6 +37,21 @@ fn entries_deploy_their_pinned_targets() {
     }
 }
 
+/// The engine's direct digests equal the digests of a full checkpoint,
+/// agent by agent, after a run that leaves traffic in flight.
+#[test]
+fn direct_digests_equal_checkpoint_digests() {
+    for spec in ["quickstart", "two_racks"] {
+        let (topo, config) = catalogue::build(spec).expect("entry builds");
+        let mut sim = topo.build(config).expect("deploys");
+        sim.run_for(Cycle::new(PIN_CYCLES)).expect("runs");
+        let direct = sim.engine_mut().agent_digests().expect("digests");
+        let via_checkpoint = sim.checkpoint().expect("checkpoints").agent_digests();
+        assert_eq!(direct, via_checkpoint, "{spec}");
+        assert_eq!(direct.len(), sim.engine_mut().agent_count(), "{spec}");
+    }
+}
+
 #[test]
 fn paper_datacenter_spec_round_trips() {
     let (topo, _) = catalogue::build(&Dims::PAPER.spec()).expect("paper dims build");
