@@ -73,11 +73,7 @@ pub fn fig8_scale_distributed(
     transport: TransportChoice,
     target_cycles: u64,
 ) -> SimResult<Vec<Fig8DistRow>> {
-    let platform_kind = match transport {
-        TransportChoice::Shm => TransportKind::SharedMemory,
-        TransportChoice::Tcp | TransportChoice::Unix => TransportKind::Tcp,
-    };
-    let bound_hz = Transport::of(platform_kind).sim_rate_bound_hz(6_400, nodes as u64);
+    let bound_mhz = fleet_bound_mhz(transport);
     let mut rows = Vec::new();
     for &workers in worker_counts {
         let spec = format!("fig8,nodes={nodes}");
@@ -88,11 +84,22 @@ pub fn fig8_scale_distributed(
             nodes,
             workers,
             sim_rate_mhz: run.cycles.as_u64() as f64 / 1e6 / run.wall.as_secs_f64().max(1e-9),
-            bound_mhz: bound_hz / 1e6,
+            bound_mhz,
             combined_digest: run.combined_digest,
         });
     }
     Ok(rows)
+}
+
+/// The transport bound of a Fig 8 fleet row in target-MHz: 6 400-token
+/// batches (2 µs links) of 8-byte tokens, as `fleet::place` models them,
+/// over the platform transport analogous to `transport`.
+fn fleet_bound_mhz(transport: TransportChoice) -> f64 {
+    let platform_kind = match transport {
+        TransportChoice::Shm => TransportKind::SharedMemory,
+        TransportChoice::Tcp | TransportChoice::Unix => TransportKind::Tcp,
+    };
+    Transport::of(platform_kind).sim_rate_bound_hz(6_400, 8) / 1e6
 }
 
 /// Fig 8: measures the achieved simulation rate (target MHz) while all
@@ -233,6 +240,18 @@ mod tests {
             "{rows:?}"
         );
         assert!(rows.iter().all(|r| r.sim_rate_mhz > 0.0));
+    }
+
+    /// The fleet bound moves 8 bytes per token whatever the node count.
+    /// Shared memory: 2 × (0.5 µs + 409 600 bit / 200 Gbit/s) = 5.096 µs
+    /// per 6 400-cycle round; TCP: 2 × (50 µs + 20.48 µs) = 140.96 µs.
+    #[test]
+    fn fleet_bound_pins_known_cases() {
+        let shm = fleet_bound_mhz(TransportChoice::Shm);
+        assert!((shm - 6_400.0 / 5.096).abs() < 1e-6, "{shm}");
+        let tcp = fleet_bound_mhz(TransportChoice::Tcp);
+        assert!((tcp - 6_400.0 / 140.96).abs() < 1e-9, "{tcp}");
+        assert_eq!(fleet_bound_mhz(TransportChoice::Unix), tcp);
     }
 
     #[test]
