@@ -1,28 +1,46 @@
-//! Cross-process links (§III-B2): the boundary ports an external pump
-//! feeds and drains, and the end-of-run wait for them to quiesce.
+//! Cross-process links (§III-B2): the boundary ports a sharded engine
+//! leaves open, and the per-round exchange that drains and feeds them.
 
 use std::sync::atomic::AtomicBool;
-use std::time::{Duration, Instant};
 
-use super::{attach, link_quiescent, AgentId, Engine};
+use super::{attach, AgentId, Engine};
 use crate::channel::{link, LinkReceiver, LinkSender};
 use crate::error::{SimError, SimResult};
 use crate::time::Cycle;
 use crate::token::TokenWindow;
 
-/// How long a run waits at its final window boundary for external
-/// boundary inputs to refill to their seeded occupancy before declaring
-/// the peer shard dead.
-const BOUNDARY_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Moves one round of a sharded engine's cut-link windows (§III-B2).
+///
+/// [`Engine::run_for_exchanging`] calls [`exchange`](Self::exchange) on
+/// worker 0, the calling thread, after it has stepped its agents through a
+/// round: it drains that round's window from every [`BoundaryOutput`]
+/// (waiting for any window another worker still owes), ships them to the peer
+/// shards, and injects the peers' windows for the round into every
+/// [`BoundaryInput`] before the next round starts. So every round, the
+/// last one included, ends with each boundary input holding exactly its
+/// seeded `latency / window` windows, as an in-process link does.
+pub trait RoundExchange {
+    /// Exchanges one round.
+    ///
+    /// `halt` is the run's halt flag: it is set only when the run has
+    /// failed (a worker's error, a panic, an abort), and every wait on a
+    /// peer or a port must give up once it is set.
+    ///
+    /// # Errors
+    ///
+    /// Fails the run: a peer that disappeared or broke the wire protocol,
+    /// or a wait that `halt` broke.
+    fn exchange(&mut self, halt: &AtomicBool) -> SimResult<()>;
+}
 
 /// The injecting half of a cross-process link: windows received from a
 /// peer shard are pushed here and flow to the destination agent after the
 /// link's modeled latency. Created by [`Engine::connect_external_input`].
 ///
 /// The underlying channel is bounded (capacity `latency / window + 1`
-/// windows), so injection naturally back-pressures a transport pump that
-/// runs ahead of the consuming agent — host scheduling can never violate
-/// the paper's token flow control (§III-B2).
+/// windows), so an injection waits for a consuming agent on another worker
+/// that has fallen behind — host scheduling can never violate the paper's
+/// token flow control (§III-B2).
 #[derive(Debug)]
 pub struct BoundaryInput<T> {
     tx: LinkSender<T>,
@@ -106,8 +124,7 @@ impl<T: Send + 'static> BoundaryOutput<T> {
     }
 
     /// Drains one produced window, blocking until the agent sends one.
-    /// Returns `Ok(None)` when `halt` was set **and** no window is queued —
-    /// so a halting pump always flushes what the agent already produced.
+    /// Returns `Ok(None)` when `halt` was set **and** no window is queued.
     ///
     /// # Errors
     ///
@@ -130,21 +147,14 @@ impl<T: Send + 'static> Engine<T> {
     ///
     /// The underlying channel is created exactly as by [`Engine::connect`]:
     /// pre-seeded with `latency / window` empty windows, so the full target
-    /// link latency is modeled **on the receiving shard**. An external pump
-    /// (e.g. `manager::partition`'s transport pumps) injects one window per
-    /// simulated round through the returned [`BoundaryInput`]; the agent
-    /// consumes the seed windows first and sees every remote token exactly
-    /// `latency` cycles after it was produced — bit-identical to a
-    /// monolithic in-process link.
-    ///
-    /// At the end of every run the engine waits (at most 30 s, then it
-    /// reports the peer dead) until each boundary input has been refilled
-    /// to its seeded occupancy, so runs still end at the paper's quiescent
-    /// boundary where a latency-*N* link holds exactly *N* tokens — the
-    /// property [`Engine::checkpoint`] relies on. A peer
-    /// shard already into its next run may have sent more; that link is
-    /// quiescent too, for the wait and for
-    /// [`Engine::verify_token_invariant`] alike.
+    /// link latency is modeled **on the receiving shard**. A
+    /// [`RoundExchange`] injects one window per simulated round through the
+    /// returned [`BoundaryInput`]; the agent consumes the seed windows first
+    /// and sees every remote token exactly `latency` cycles after it was
+    /// produced — bit-identical to a monolithic in-process link. Because
+    /// the exchange refills the link after every round, runs end at the
+    /// paper's quiescent boundary where a latency-*N* link holds exactly *N*
+    /// tokens — the property [`Engine::checkpoint`] relies on.
     ///
     /// # Errors
     ///
@@ -176,7 +186,7 @@ impl<T: Send + 'static> Engine<T> {
     /// [`Engine::connect_external_input`] link models all of it); what
     /// remains is a bounded host-side buffer of `latency / window + 1`
     /// windows that back-pressures the producing agent exactly as far as
-    /// token flow control would in a monolithic engine. An external pump
+    /// token flow control would in a monolithic engine. A [`RoundExchange`]
     /// drains one window per simulated round through the returned
     /// [`BoundaryOutput`] and ships it to the peer shard.
     ///
@@ -205,45 +215,10 @@ impl<T: Send + 'static> Engine<T> {
         })
     }
 
-    /// Blocks until every boundary input link holds its seeded
-    /// `latency / window` windows again — i.e. until the external pumps
-    /// have delivered every window the peer shard produced for the rounds
-    /// just run. No-op without boundary inputs.
-    pub(super) fn wait_boundary_quiesce(&self) -> SimResult<()> {
-        if self.boundary_inputs.is_empty() {
-            return Ok(());
-        }
-        let deadline = Instant::now() + BOUNDARY_QUIESCE_TIMEOUT;
-        for &(a, p) in &self.boundary_inputs {
-            let slot = &self.agents[a];
-            let rx = slot.inputs[p].as_ref().expect("boundary input is wired");
-            let want = (rx.latency().as_u64() / self.window as u64) as usize;
-            loop {
-                let got = rx.in_flight_windows();
-                if link_quiescent(got, want, true) {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    return Err(SimError::agent(
-                        slot.agent.name(),
-                        format!(
-                            "boundary input port {p} did not quiesce: {got} of {want} \
-                             windows in flight after {:?} (peer shard dead or stalled?)",
-                            BOUNDARY_QUIESCE_TIMEOUT
-                        ),
-                    ));
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-        Ok(())
-    }
-
-    /// A restore replaces every input queue, so a window a faster peer
-    /// shard has already injected would be discarded and that link would
-    /// run one window short for good (the engine then dies at its next
-    /// boundary quiesce). Refuse instead: every shard must restore before
-    /// any shard runs.
+    /// A restore replaces every input queue, so a window already injected
+    /// into a boundary input would be discarded and that link would run one
+    /// window short for good. Refuse instead: every shard must restore
+    /// before any exchange starts.
     pub(super) fn check_boundaries_unfed(&self) -> SimResult<()> {
         for &(a, p) in &self.boundary_inputs {
             let slot = &self.agents[a];

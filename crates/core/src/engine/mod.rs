@@ -70,7 +70,7 @@ mod schedule;
 mod tests;
 
 pub use agent::{AgentCtx, SimAgent};
-pub use boundary::{BoundaryInput, BoundaryOutput};
+pub use boundary::{BoundaryInput, BoundaryOutput, RoundExchange};
 pub use checkpoint::{combined_digest, EngineCheckpoint};
 pub use schedule::{AbortHandle, ProgressProbe, RunSummary, StopHandle};
 
@@ -108,8 +108,7 @@ pub struct LinkOccupancy {
     /// Modeled link latency in cycles.
     pub latency: u64,
     /// Tokens currently in flight (`queued windows × window length`). At a
-    /// quiescent boundary this equals `latency` (a boundary input may hold
-    /// more: its peer shard can already be into its next run).
+    /// quiescent boundary this equals `latency`.
     pub in_flight_tokens: u64,
 }
 
@@ -136,8 +135,7 @@ pub struct Engine<T> {
     /// Installed by [`Engine::enable_tracing`]; absent = zero cost.
     tracer: Option<Arc<SpanTracer>>,
     /// `(agent index, input port)` of every link whose sender lives outside
-    /// this engine (another process or an external pump). See
-    /// [`Engine::connect_external_input`].
+    /// this engine, in another shard. See [`Engine::connect_external_input`].
     boundary_inputs: Vec<(usize, usize)>,
 }
 
@@ -357,15 +355,14 @@ impl<T: Send + 'static> Engine<T> {
 
     /// Checks the token-transport invariant at the current quiescent
     /// boundary: every connected latency-*N* input link must hold exactly
-    /// *N* tokens in flight — a boundary input at least *N*, since a peer
-    /// shard already into its next run may have sent more. Only meaningful
-    /// between runs (mid-run a link transiently holds one extra window).
+    /// *N* tokens in flight. Only meaningful between runs (mid-run a link
+    /// transiently holds one extra window).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Agent`] naming the first violating agent/port.
     pub fn verify_token_invariant(&self) -> SimResult<()> {
-        token_invariant(&self.agents, self.window, &self.boundary_inputs, false)
+        token_invariant(&self.agents, self.window)
     }
 
     /// Connects `src`'s output port to `dst`'s input port with a link of the
@@ -433,42 +430,18 @@ fn attach<L>(
     }
 }
 
-/// True when an input link holding `held` windows is at a quiescent window
-/// boundary: it holds exactly its `seeded` (`latency / window`) windows,
-/// or — on a boundary input, whose peer shard may already be into its
-/// next run — at least that many. The end-of-run quiesce wait and the
-/// invariant check both use this one predicate.
-fn link_quiescent(held: usize, seeded: usize, boundary: bool) -> bool {
-    if boundary {
-        held >= seeded
-    } else {
-        held == seeded
-    }
-}
-
 /// The token-transport invariant over `slots`: every connected input link
-/// is quiescent (see [`link_quiescent`]).
-/// `skip_boundaries` leaves boundary inputs out: mid-run a cross-process
-/// link's refill is asynchronous (the pump injects when the peer's window
-/// arrives), so only the end-of-run check — which runs after
-/// [`Engine::wait_boundary_quiesce`] — may include them.
+/// holds exactly its seeded `latency / window` windows.
 fn token_invariant<'a, T: Send + 'static>(
     slots: impl IntoIterator<Item = &'a AgentSlot<T>>,
     window: u32,
-    boundary_inputs: &[(usize, usize)],
-    skip_boundaries: bool,
 ) -> SimResult<()> {
     for slot in slots {
         for (port, rx) in slot.inputs.iter().enumerate() {
             let Some(rx) = rx else { continue };
-            let boundary = boundary_inputs.contains(&(slot.index, port));
-            if boundary && skip_boundaries {
-                continue;
-            }
             let want = rx.latency().as_u64();
-            let held = rx.in_flight_windows();
-            if !link_quiescent(held, (want / u64::from(window)) as usize, boundary) {
-                let got = held as u64 * u64::from(window);
+            let got = rx.in_flight_windows() as u64 * u64::from(window);
+            if got != want {
                 return Err(SimError::agent(
                     slot.agent.name(),
                     format!(

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::agent::{step_agent, AgentSlot};
-use super::{token_invariant, AgentId, Engine};
+use super::{token_invariant, AgentId, Engine, RoundExchange};
 use crate::error::{SimError, SimResult};
 use crate::fault::AgentFaults;
 use crate::metrics::{
@@ -260,7 +260,23 @@ impl<T: Send + 'static> Engine<T> {
     /// breaks mid-run (a panicking agent).
     pub fn run_for(&mut self, cycles: Cycle) -> SimResult<RunSummary> {
         let rounds = cycles.as_u64().div_ceil(self.window as u64);
-        self.run_rounds(rounds, false)
+        self.run_rounds(rounds, false, None)
+    }
+
+    /// [`Engine::run_for`] for a shard with cross-process links: after
+    /// every round, worker 0 runs `exchange` (see [`RoundExchange`]), so
+    /// the run ends with every boundary input refilled.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::run_for`], plus whatever `exchange` fails with.
+    pub fn run_for_exchanging(
+        &mut self,
+        cycles: Cycle,
+        exchange: &mut dyn RoundExchange,
+    ) -> SimResult<RunSummary> {
+        let rounds = cycles.as_u64().div_ceil(self.window as u64);
+        self.run_rounds(rounds, false, Some(exchange))
     }
 
     /// Runs until every agent reports
@@ -274,11 +290,22 @@ impl<T: Send + 'static> Engine<T> {
     /// As for [`Engine::run_for`].
     pub fn run_until_done(&mut self, max_cycles: Cycle) -> SimResult<RunSummary> {
         let rounds = max_cycles.as_u64().div_ceil(self.window as u64);
-        self.run_rounds(rounds, true)
+        self.run_rounds(rounds, true, None)
     }
 
-    fn run_rounds(&mut self, rounds: u64, stoppable: bool) -> SimResult<RunSummary> {
+    fn run_rounds(
+        &mut self,
+        rounds: u64,
+        stoppable: bool,
+        exchange: Option<&mut dyn RoundExchange>,
+    ) -> SimResult<RunSummary> {
         self.check_wired()?;
+        if exchange.is_none() && !self.boundary_inputs.is_empty() {
+            return Err(SimError::topology(
+                "an engine with cross-process inputs runs only with a round exchange \
+                 (Engine::run_for_exchanging)",
+            ));
+        }
         self.stop.store(false, Ordering::Release);
         self.abort.store(false, Ordering::Release);
         self.run_halt.store(false, Ordering::Release);
@@ -303,7 +330,7 @@ impl<T: Send + 'static> Engine<T> {
             host_cores()
         };
         let threads = self.host_threads.min(cores).min(self.agents.len()).max(1);
-        let result = self.run_workers(rounds, stoppable, threads, &faults);
+        let result = self.run_workers(rounds, stoppable, threads, &faults, exchange);
         // An abort wakes blocked workers by halting them, which surfaces as
         // ChannelClosed on their side; report the abort (the cause), not the
         // wake-up mechanics (the symptom) — unless a more diagnostic error
@@ -313,11 +340,6 @@ impl<T: Send + 'static> Engine<T> {
             return Err(self.abort_error());
         }
         let rounds_run = result?;
-        // With cross-process boundary inputs, the local agents can finish
-        // their rounds while the last windows of the peer's matching output
-        // are still in transit; wait for the pumps to deliver them so the
-        // boundary below really is quiescent.
-        self.wait_boundary_quiesce()?;
         // Every successful run ends at a quiescent window boundary, where
         // the paper's invariant must hold: a latency-N link has exactly N
         // tokens in flight. Always-on in debug builds.
@@ -351,13 +373,14 @@ impl<T: Send + 'static> Engine<T> {
     /// (default 1, i.e. round-robin-ish). A run long enough to profit
     /// measures each agent's host cost over the first chunk, re-packs the
     /// agents once by that cost, and runs the remaining rounds on a fresh
-    /// set of workers.
+    /// set of workers. Worker 0 runs `exchange` after every round.
     fn run_workers(
         &mut self,
         rounds: u64,
         stoppable: bool,
         threads: usize,
         faults: &[Option<AgentFaults>],
+        mut exchange: Option<&mut dyn RoundExchange>,
     ) -> SimResult<u64> {
         let run = Run {
             window: self.window,
@@ -376,7 +399,6 @@ impl<T: Send + 'static> Engine<T> {
             progress: self.progress.as_deref(),
             metrics: self.metrics.as_deref(),
             tracer: self.tracer.as_deref(),
-            boundary_inputs: &self.boundary_inputs,
             barrier: EpochBarrier::new(threads),
             votes: match threads {
                 1 => Vec::new(),
@@ -391,8 +413,16 @@ impl<T: Send + 'static> Engine<T> {
             let mut costs: Vec<u64> = weights.iter().map(|w| w.unwrap_or(1)).collect();
             assignment = lpt_partition(&costs, threads);
             if rounds > run.chunk && self.agents.len() > threads {
-                let (done, measured) =
-                    run.phase(&mut self.agents, &assignment, 0, run.chunk, true)?;
+                let (done, measured) = run.phase(
+                    &mut self.agents,
+                    &assignment,
+                    0,
+                    run.chunk,
+                    true,
+                    exchange
+                        .as_mut()
+                        .map(|e| &mut **e as &mut dyn RoundExchange),
+                )?;
                 if stoppable && (self.stop.load(Ordering::Acquire) || self.all_done()) {
                     return Ok(done);
                 }
@@ -403,7 +433,7 @@ impl<T: Send + 'static> Engine<T> {
                 from = done;
             }
         }
-        run.phase(&mut self.agents, &assignment, from, rounds, false)
+        run.phase(&mut self.agents, &assignment, from, rounds, false, exchange)
             .map(|(done, _)| done)
     }
 }
@@ -431,7 +461,6 @@ struct Run<'a> {
     progress: Option<&'a ProgressShared>,
     metrics: Option<&'a MetricsRegistry>,
     tracer: Option<&'a SpanTracer>,
-    boundary_inputs: &'a [(usize, usize)],
     barrier: EpochBarrier,
     /// Per-worker chunk votes, double-buffered by chunk parity: the bucket
     /// for chunk `c` is re-written at chunk `c + 2`, by which time every
@@ -446,8 +475,9 @@ struct Run<'a> {
 impl Run<'_> {
     /// Runs rounds `from..to` with agent `i` on worker `assignment[i]`.
     /// Worker 0 is the calling thread, so a sole worker spawns nothing and
-    /// steps the engine's slots in place. Returns the rounds every worker
-    /// completed and, when `measuring`, each agent's host nanoseconds.
+    /// steps the engine's slots in place; it alone runs `exchange`. Returns
+    /// the rounds every worker completed and, when `measuring`, each
+    /// agent's host nanoseconds.
     fn phase<T: Send + 'static>(
         &self,
         agents: &mut [AgentSlot<T>],
@@ -455,9 +485,10 @@ impl Run<'_> {
         from: u64,
         to: u64,
         measuring: bool,
+        exchange: Option<&mut dyn RoundExchange>,
     ) -> SimResult<(u64, Vec<(usize, u64)>)> {
         let outcome = if self.threads == 1 {
-            self.worker(0, agents, from, to, measuring)
+            self.worker(0, agents, from, to, measuring, exchange)
         } else {
             let mut owned: Vec<Vec<&mut AgentSlot<T>>> =
                 (0..self.threads).map(|_| Vec::new()).collect();
@@ -470,10 +501,10 @@ impl Run<'_> {
                     .iter_mut()
                     .enumerate()
                     .map(|(w, mine)| {
-                        scope.spawn(move || self.worker(w + 1, mine, from, to, measuring))
+                        scope.spawn(move || self.worker(w + 1, mine, from, to, measuring, None))
                     })
                     .collect();
-                let (mut done, mut measured) = self.worker(0, first, from, to, measuring);
+                let (mut done, mut measured) = self.worker(0, first, from, to, measuring, exchange);
                 for handle in spawned {
                     let (r, m) = handle
                         .join()
@@ -491,8 +522,9 @@ impl Run<'_> {
     }
 
     /// One worker: steps the agents it owns through rounds `from..to`,
-    /// chunk by chunk, and returns the rounds it completed plus, when
-    /// `measuring`, its agents' host nanoseconds.
+    /// chunk by chunk, running `exchange` after each round, and returns the
+    /// rounds it completed plus, when `measuring`, its agents' host
+    /// nanoseconds.
     ///
     /// Kept out of line, with `step_agent` inlined into it, so the hot loop
     /// compiles the same whichever crate instantiates it.
@@ -504,6 +536,7 @@ impl Run<'_> {
         from: u64,
         to: u64,
         measuring: bool,
+        mut exchange: Option<&mut dyn RoundExchange>,
     ) -> (u64, Vec<(usize, u64)>) {
         let _guard = PanicGuard(self);
         let Run {
@@ -519,7 +552,6 @@ impl Run<'_> {
             progress,
             metrics,
             tracer,
-            boundary_inputs,
             ..
         } = *self;
         let profiling = metrics.is_some();
@@ -580,14 +612,18 @@ impl Run<'_> {
                 }
                 now += Cycle::new(u64::from(window));
                 round += 1;
-                // A sole worker ends every round quiescent, so the token
-                // invariant can be checked continuously (debug builds).
-                // Boundary inputs refill asynchronously and are excluded
-                // here; the end-of-run check covers them after the quiesce
-                // wait.
+                if let Some(exchange) = exchange.as_deref_mut() {
+                    if let Err(e) = exchange.exchange(halt) {
+                        self.fail(e);
+                        break 'chunks;
+                    }
+                }
+                // A sole worker ends every round quiescent, its boundary
+                // inputs refilled by the exchange, so the token invariant
+                // can be checked continuously (debug builds).
                 if cfg!(debug_assertions) && threads == 1 {
                     let slots = mine.iter().map(|s| s.borrow());
-                    if let Err(e) = token_invariant(slots, window, boundary_inputs, true) {
+                    if let Err(e) = token_invariant(slots, window) {
                         panic!("{e}");
                     }
                 }

@@ -9,13 +9,13 @@
 //! links model the full latency regardless of where the sender lives), so
 //! a checkpoint taken under one sharding restores under any other.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::AtomicBool;
+use std::sync::{mpsc, Arc};
 
 use firesim_core::{
     combined_digest, AgentCtx, BoundaryInput, BoundaryOutput, Checkpoint, Cycle, Engine,
-    EngineCheckpoint, SimAgent, SimResult, SnapshotReader, SnapshotWriter,
+    EngineCheckpoint, RoundExchange, SimAgent, SimError, SimResult, SnapshotReader, SnapshotWriter,
+    TokenWindow,
 };
 
 const N: usize = 4;
@@ -86,92 +86,103 @@ impl Checkpoint for Node {
     }
 }
 
-/// In-process transport pump, as `manager::partition` would run between
-/// worker processes.
-fn pump(
-    out: BoundaryOutput<u64>,
-    inp: BoundaryInput<u64>,
-    halt: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Ok(Some(w)) = out.drain_or_halt(&halt) {
-            if !matches!(inp.inject_or_halt(w, &halt), Ok(None)) {
-                break;
+/// A round exchange over one in-process channel per cut link, as
+/// `manager::partition` runs one over a transport between worker
+/// processes: each round ships every output's window, then injects every
+/// input's.
+#[derive(Default)]
+struct LinkExchange {
+    outputs: Vec<(BoundaryOutput<u64>, mpsc::Sender<TokenWindow<u64>>)>,
+    inputs: Vec<(BoundaryInput<u64>, mpsc::Receiver<TokenWindow<u64>>)>,
+}
+
+impl RoundExchange for LinkExchange {
+    fn exchange(&mut self, halt: &AtomicBool) -> SimResult<()> {
+        let gone = || SimError::protocol("peer shard gone");
+        for (out, tx) in &self.outputs {
+            let w = out.drain_or_halt(halt)?.ok_or_else(gone)?;
+            tx.send(w).map_err(|_| gone())?;
+        }
+        for (inp, rx) in &self.inputs {
+            let w = rx.recv().map_err(|_| gone())?;
+            if inp.inject_or_halt(w, halt)?.is_some() {
+                return Err(gone());
             }
         }
-    })
+        Ok(())
+    }
 }
 
 /// Builds one engine per group of `groups` (a partition of `0..N`),
 /// wiring each ring edge `i -> (i+1) % N` directly when both endpoints
-/// share a group and through a boundary pump otherwise.
-fn build_groups(groups: &[Vec<usize>]) -> (Vec<Engine<u64>>, Vec<JoinHandle<()>>, Arc<AtomicBool>) {
-    let mut engines: Vec<Engine<u64>> = groups.iter().map(|_| Engine::new(WINDOW)).collect();
+/// share a group and through the two groups' exchanges otherwise.
+fn build_groups(groups: &[Vec<usize>]) -> Vec<(Engine<u64>, LinkExchange)> {
+    let mut shards: Vec<(Engine<u64>, LinkExchange)> = groups
+        .iter()
+        .map(|_| (Engine::new(WINDOW), LinkExchange::default()))
+        .collect();
     let mut place = [(0usize, None); N];
     for (g, members) in groups.iter().enumerate() {
         for &i in members {
-            let id = engines[g].add_agent(node(i));
+            let id = shards[g].0.add_agent(node(i));
             place[i] = (g, Some(id));
         }
     }
-    let halt = Arc::new(AtomicBool::new(false));
-    let mut pumps = Vec::new();
     for i in 0..N {
         let j = (i + 1) % N;
         let (gi, ai) = (place[i].0, place[i].1.unwrap());
         let (gj, aj) = (place[j].0, place[j].1.unwrap());
         if gi == gj {
-            engines[gi]
+            shards[gi]
+                .0
                 .connect(ai, 0, aj, 0, Cycle::new(LATENCY))
                 .unwrap();
         } else {
-            let out = engines[gi]
+            let (tx, rx) = mpsc::channel();
+            let out = shards[gi]
+                .0
                 .connect_external_output(ai, 0, Cycle::new(LATENCY))
                 .unwrap();
-            let inp = engines[gj]
+            shards[gi].1.outputs.push((out, tx));
+            let inp = shards[gj]
+                .0
                 .connect_external_input(aj, 0, Cycle::new(LATENCY))
                 .unwrap();
-            pumps.push(pump(out, inp, Arc::clone(&halt)));
+            shards[gj].1.inputs.push((inp, rx));
         }
     }
-    (engines, pumps, halt)
+    shards
 }
 
 /// Runs every engine (optionally restoring `from` by name first) for
 /// `cycles` in its own thread and returns the per-shard checkpoints in
 /// group order.
 fn run_groups(
-    engines: Vec<Engine<u64>>,
-    pumps: Vec<JoinHandle<()>>,
-    halt: Arc<AtomicBool>,
+    shards: Vec<(Engine<u64>, LinkExchange)>,
     from: Option<Arc<EngineCheckpoint<u64>>>,
     cycles: u64,
 ) -> Vec<EngineCheckpoint<u64>> {
-    // Every shard restores before any shard runs (as `manager::partition`
-    // restores before it starts its pumps): a restore replaces the input
-    // queues, so it would discard a window a faster peer had already
-    // injected and leave that link one window short for good.
-    let mut engines = engines;
+    // Every shard restores before any exchange starts (as
+    // `manager::partition` restores before it connects its peers): a
+    // restore replaces the input queues, so it would discard a window
+    // already injected and leave that link one window short for good.
+    let mut shards = shards;
     if let Some(cp) = from.as_deref() {
-        for e in &mut engines {
+        for (e, _) in &mut shards {
             e.restore_by_name(cp).unwrap();
         }
     }
-    let threads: Vec<_> = engines
+    let threads: Vec<_> = shards
         .into_iter()
-        .map(|mut e| {
+        .map(|(mut e, mut exchange)| {
             std::thread::spawn(move || {
-                e.run_for(Cycle::new(cycles)).unwrap();
+                e.run_for_exchanging(Cycle::new(cycles), &mut exchange)
+                    .unwrap();
                 e.checkpoint().unwrap()
             })
         })
         .collect();
-    let cps: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-    halt.store(true, Ordering::Release);
-    for p in pumps {
-        p.join().unwrap();
-    }
-    cps
+    threads.into_iter().map(|t| t.join().unwrap()).collect()
 }
 
 fn digests_of(cps: &[EngineCheckpoint<u64>]) -> Vec<(String, u64)> {
@@ -183,15 +194,15 @@ fn digests_of(cps: &[EngineCheckpoint<u64>]) -> Vec<(String, u64)> {
 #[test]
 fn four_way_checkpoint_restores_across_shapes() {
     // Reference: an uninterrupted monolithic run to END.
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let straight = digests_of(&run_groups(engines, pumps, halt, None, END));
+    let shards = build_groups(&[(0..N).collect()]);
+    let straight = digests_of(&run_groups(shards, None, END));
 
     // Leg 1: a 4-way sharded run to MID; merge the per-shard checkpoints
     // and round-trip the merged checkpoint through the FSCKPT01 on-disk
     // encoding, as the repartitioning manager does.
     let groups4: Vec<Vec<usize>> = (0..N).map(|i| vec![i]).collect();
-    let (engines, pumps, halt) = build_groups(&groups4);
-    let parts = run_groups(engines, pumps, halt, None, MID);
+    let shards = build_groups(&groups4);
+    let parts = run_groups(shards, None, MID);
     let merged = EngineCheckpoint::merge(parts).unwrap();
     assert_eq!(merged.now(), Cycle::new(MID));
     let names: Vec<&str> = merged.agent_names().collect();
@@ -204,28 +215,16 @@ fn four_way_checkpoint_restores_across_shapes() {
     let merged = Arc::new(merged);
 
     // Leg 2a: restore into a 2-way deployment and run to END.
-    let (engines, pumps, halt) = build_groups(&[vec![0, 1], vec![2, 3]]);
-    let two_way = digests_of(&run_groups(
-        engines,
-        pumps,
-        halt,
-        Some(Arc::clone(&merged)),
-        END - MID,
-    ));
+    let shards = build_groups(&[vec![0, 1], vec![2, 3]]);
+    let two_way = digests_of(&run_groups(shards, Some(Arc::clone(&merged)), END - MID));
     assert_eq!(
         straight, two_way,
         "4-way checkpoint restored 2-way diverged from the straight run"
     );
 
     // Leg 2b: restore into a monolithic deployment and run to END.
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let mono = digests_of(&run_groups(
-        engines,
-        pumps,
-        halt,
-        Some(Arc::clone(&merged)),
-        END - MID,
-    ));
+    let shards = build_groups(&[(0..N).collect()]);
+    let mono = digests_of(&run_groups(shards, Some(Arc::clone(&merged)), END - MID));
     assert_eq!(
         straight, mono,
         "4-way checkpoint restored monolithically diverged from the straight run"
@@ -239,21 +238,15 @@ fn four_way_checkpoint_restores_across_shapes() {
 #[test]
 fn restore_by_name_accepts_superset_checkpoint() {
     // Full checkpoint from a monolithic run to MID.
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let full = run_groups(engines, pumps, halt, None, MID).pop().unwrap();
+    let shards = build_groups(&[(0..N).collect()]);
+    let full = run_groups(shards, None, MID).pop().unwrap();
     let full = Arc::new(full);
 
     // A 3/1 split: the singleton shard restores just its one agent.
-    let (engines, pumps, halt) = build_groups(&[vec![0, 1, 2], vec![3]]);
-    let skewed = digests_of(&run_groups(
-        engines,
-        pumps,
-        halt,
-        Some(Arc::clone(&full)),
-        END - MID,
-    ));
+    let shards = build_groups(&[vec![0, 1, 2], vec![3]]);
+    let skewed = digests_of(&run_groups(shards, Some(Arc::clone(&full)), END - MID));
 
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let straight = digests_of(&run_groups(engines, pumps, halt, None, END));
+    let shards = build_groups(&[(0..N).collect()]);
+    let straight = digests_of(&run_groups(shards, None, END));
     assert_eq!(straight, skewed, "3/1 restore diverged");
 }
