@@ -500,10 +500,10 @@ impl Simulation {
         &mut self.engine
     }
 
-    /// Takes ownership of the open boundary ports of a sharded build so
-    /// pump threads can wire them to a
-    /// [`TokenTransport`](firesim_platform::TokenTransport). Empty for
-    /// monolithic builds; empties the simulation's copy when called.
+    /// Takes ownership of the open boundary ports of a sharded build, for
+    /// a [`RoundExchange`](firesim_core::RoundExchange) to drain and feed
+    /// over a [`TokenTransport`](firesim_platform::TokenTransport). Empty
+    /// for monolithic builds; empties the simulation's copy when called.
     pub fn take_boundaries(&mut self) -> ShardBoundaries {
         std::mem::take(&mut self.boundaries)
     }

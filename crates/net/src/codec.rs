@@ -586,7 +586,7 @@ mod tests {
     #[test]
     fn token_frame_zero_length_window_rejected() {
         // A window off the wire claiming to cover zero cycles is a typed
-        // error for the pump to report, not a panic that kills it.
+        // error for the exchange to report, not a panic that kills it.
         let mut wire = encode_token_frame(5, &window(8, &[]));
         // The window's cycle count follows the length, link and seq fields.
         wire[16..20].copy_from_slice(&0u32.to_le_bytes());
