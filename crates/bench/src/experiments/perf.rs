@@ -5,7 +5,9 @@
 use firesim_blade::programs;
 use firesim_core::{Cycle, SimResult};
 use firesim_manager::catalogue::{self, Dims};
-use firesim_manager::{run_partitioned, PartitionConfig, SimConfig, Simulation, TransportChoice};
+use firesim_manager::{
+    run_partitioned, PartitionConfig, PartitionedRun, SimConfig, Simulation, TransportChoice,
+};
 use firesim_platform::{DeploymentPlan, FpgaModel, Transport, TransportKind};
 
 use super::CLOCK;
@@ -46,7 +48,8 @@ pub struct Fig8DistRow {
     pub nodes: usize,
     /// Worker process count.
     pub workers: usize,
-    /// Measured fleet simulation rate in target-MHz.
+    /// Measured fleet simulation rate in target-MHz, over the workers' run
+    /// legs (see [`Fig8DistRow::of`]).
     pub sim_rate_mhz: f64,
     /// [`Transport::sim_rate_bound_hz`] for the matching platform
     /// transport, in target-MHz: the rate the host transport alone would
@@ -80,15 +83,25 @@ pub fn fig8_scale_distributed(
         let mut cfg = PartitionConfig::new(workers, Cycle::new(target_cycles), spec);
         cfg.transport = transport;
         let run = run_partitioned(catalogue::build, &cfg).map_err(|report| report.error)?;
-        rows.push(Fig8DistRow {
-            nodes,
-            workers,
-            sim_rate_mhz: run.cycles.as_u64() as f64 / 1e6 / run.wall.as_secs_f64().max(1e-9),
-            bound_mhz,
-            combined_digest: run.combined_digest,
-        });
+        rows.push(Fig8DistRow::of(&run, nodes, bound_mhz));
     }
     Ok(rows)
+}
+
+impl Fig8DistRow {
+    /// The row of a finished fleet `run` of `nodes` nodes. Its rate is the
+    /// run's target cycles over the merged report's `wall_ns`, the slowest
+    /// shard's engine legs, so process spawn, shard build and result
+    /// merging stay out of it.
+    pub fn of(run: &PartitionedRun, nodes: usize, bound_mhz: f64) -> Self {
+        Fig8DistRow {
+            nodes,
+            workers: run.workers,
+            sim_rate_mhz: run.cycles.as_u64() as f64 * 1e3 / run.report.wall_ns.max(1) as f64,
+            bound_mhz,
+            combined_digest: run.combined_digest,
+        }
+    }
 }
 
 /// The transport bound of a Fig 8 fleet row in target-MHz: 6 400-token

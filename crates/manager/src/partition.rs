@@ -28,14 +28,22 @@
 //! SimResult<(Topology, SimConfig)>` plus an opaque spec string, so each
 //! process reconstructs the same topology independently (blade app
 //! factories are not serialisable; rebuilding is both simpler and how the
-//! paper's manager works — every host runs the same configuration). The
-//! parent exports `FIRESIM_PART_*` environment variables and re-executes
-//! itself; the child's `maybe_worker` sees them, builds its shard, opens
-//! transports via rendezvous files in the shared directory, runs, writes
-//! `shard{i}.result.json`, and exits. A nonzero worker exit (or the
-//! deadline) makes the parent kill the remaining fleet and return a
-//! [`FailureReport`] naming the dead shard — the cross-process extension
-//! of the supervisor's watchdog.
+//! paper's manager works — every host runs the same configuration).
+//!
+//! One function, `run_shard`, runs a shard: it builds the topology,
+//! validates the plan against it, builds the shard, applies the scenario,
+//! arms the panic hook, restores, connects to its peers, runs the
+//! checkpoint leg and the final leg, and returns the shard's cycles,
+//! digests and [`RunReport`]. A 1-worker run calls it in-process for shard
+//! 0 of a 1-shard plan, which has no peers. With more workers the parent
+//! encodes the [`PartitionConfig`] as `FIRESIM_PART_*` environment
+//! variables (`worker_env`, with its inverse `worker_config` beside it)
+//! and re-executes itself once per shard; the child's [`maybe_worker`]
+//! decodes them, calls `run_shard`, writes `shard{i}.result.json` (its
+//! cycles, digests and report as one JSON document), and exits. A nonzero
+//! worker exit (or the deadline) makes the parent kill the remaining fleet
+//! and return a [`FailureReport`] naming the dead shard — the cross-process
+//! extension of the supervisor's watchdog.
 //!
 //! ## Host plane
 //!
@@ -56,6 +64,7 @@
 //! and `host_transport_bytes`.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,7 +81,10 @@ use firesim_platform::{ShmTransport, SocketListener, SocketTransport, TokenTrans
 
 use crate::report::RunReport;
 use crate::simulation::{ShardBoundaries, SimConfig, Simulation};
-use crate::stream::{EventRecord, RunEndRecord, RunStartRecord, StreamRecord, StreamWriter};
+use crate::stream::{
+    EventRecord, RunEndRecord, RunStartRecord, StreamMeta, StreamRecord, StreamSession,
+    StreamWriter,
+};
 use crate::supervisor::FailureReport;
 use crate::topology::{NodeRef, Topology};
 
@@ -234,13 +246,19 @@ impl PartitionPlan {
     }
 
     /// Decodes [`PartitionPlan::encode`] output, revalidating the
-    /// assignment against the worker's own copy of the topology.
+    /// assignment against `topo`.
     ///
     /// # Errors
     ///
     /// Rejects malformed strings and anything
     /// [`PartitionPlan::from_assignment`] rejects.
     pub fn decode(topo: &Topology, s: &str) -> SimResult<PartitionPlan> {
+        Self::parse(s)?.validated(topo)
+    }
+
+    /// Parses [`PartitionPlan::encode`] output without a topology: the
+    /// plan is unchecked until [`validated`](Self::validated).
+    fn parse(s: &str) -> SimResult<PartitionPlan> {
         let bad = || SimError::protocol(format!("malformed partition plan {s:?}"));
         let mut parts = s.split(';');
         let workers: usize = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
@@ -256,7 +274,18 @@ impl PartitionPlan {
         if parts.next().is_some() {
             return Err(bad());
         }
-        Self::from_assignment(topo, workers, server_shard, switch_shard)
+        Ok(PartitionPlan {
+            workers,
+            server_shard,
+            switch_shard,
+        })
+    }
+
+    /// This plan, checked against `topo` as
+    /// [`from_assignment`](Self::from_assignment) checks a new one.
+    fn validated(&self, topo: &Topology) -> SimResult<PartitionPlan> {
+        let (servers, switches) = (self.server_shard.clone(), self.switch_shard.clone());
+        Self::from_assignment(topo, self.workers, servers, switches)
     }
 
     /// Enforces globally-unique agent names (shard results merge by
@@ -487,8 +516,82 @@ const ENV_PLAN: &str = "FIRESIM_PART_PLAN";
 const ENV_CKPT_AT: &str = "FIRESIM_PART_CKPT_AT";
 const ENV_RESTORE: &str = "FIRESIM_PART_RESTORE";
 
-/// Exit code a worker uses for simulation failures (vs. spawn problems).
+/// The environment of shard `shard`'s worker process: every option of
+/// `cfg` that a worker reads, and the rendezvous directory `dir`.
+/// [`worker_config`] is the inverse.
+fn worker_env(cfg: &PartitionConfig, shard: usize, dir: &Path) -> Vec<(&'static str, OsString)> {
+    let decimal = |n: u64| Some(OsString::from(n.to_string()));
+    let env: [(_, Option<OsString>); 11] = [
+        (ENV_SHARD, decimal(shard as u64)),
+        (ENV_WORKERS, decimal(cfg.workers as u64)),
+        (ENV_TRANSPORT, Some(cfg.transport.as_str().into())),
+        (ENV_DIR, Some(dir.into())),
+        (ENV_CYCLES, decimal(cfg.cycles.as_u64())),
+        (ENV_SPEC, Some(cfg.spec.clone().into())),
+        (ENV_PANIC, cfg.worker_panic.clone().map(Into::into)),
+        (ENV_SCENARIO, cfg.scenario.clone().map(Into::into)),
+        (ENV_PLAN, cfg.plan.as_ref().map(|p| p.encode().into())),
+        (
+            ENV_CKPT_AT,
+            cfg.checkpoint_at.and_then(|c| decimal(c.as_u64())),
+        ),
+        (ENV_RESTORE, cfg.restore_from.clone().map(Into::into)),
+    ];
+    env.into_iter()
+        .filter_map(|(name, value)| Some((name, value?)))
+        .collect()
+}
+
+/// Decodes [`worker_env`]'s output, read through `var`, into the worker's
+/// shard and the config it runs. The plan is parsed but not yet checked
+/// against a topology (`run_shard` does that), the shard checkpoint goes
+/// to `shard{i}.ckpt` in the rendezvous directory, and the options only
+/// the parent reads keep their defaults.
+///
+/// # Errors
+///
+/// A missing or malformed variable is a [`SimError::Protocol`], an unknown
+/// transport a [`SimError::Topology`].
+fn worker_config(var: impl Fn(&str) -> Option<OsString>) -> SimResult<(usize, PartitionConfig)> {
+    let text = |name: &str| {
+        var(name)
+            .map(|v| v.into_string())
+            .transpose()
+            .map_err(|_| SimError::protocol(format!("{name} is not UTF-8")))
+    };
+    let missing = |name: &str| SimError::protocol(format!("worker missing {name}"));
+    let required = |name: &str| text(name)?.ok_or_else(|| missing(name));
+    fn number<N: std::str::FromStr>(name: &str, v: String) -> SimResult<N> {
+        v.parse()
+            .map_err(|_| SimError::protocol(format!("bad {name} {v:?}")))
+    }
+    let shard: usize = number(ENV_SHARD, required(ENV_SHARD)?)?;
+    let dir = PathBuf::from(var(ENV_DIR).ok_or_else(|| missing(ENV_DIR))?);
+    let mut cfg = PartitionConfig::new(
+        number(ENV_WORKERS, required(ENV_WORKERS)?)?,
+        Cycle::new(number(ENV_CYCLES, required(ENV_CYCLES)?)?),
+        required(ENV_SPEC)?,
+    );
+    cfg.transport = TransportChoice::parse(&required(ENV_TRANSPORT)?)?;
+    cfg.worker_panic = text(ENV_PANIC)?;
+    cfg.scenario = text(ENV_SCENARIO)?;
+    let plan = text(ENV_PLAN)?.map(|p| PartitionPlan::parse(&p));
+    cfg.plan = plan.transpose()?;
+    let at = text(ENV_CKPT_AT)?.map(|at| number(ENV_CKPT_AT, at));
+    cfg.checkpoint_at = at.transpose()?.map(Cycle::new);
+    cfg.checkpoint_out = cfg
+        .checkpoint_at
+        .map(|_| dir.join(format!("shard{shard}.ckpt")));
+    cfg.restore_from = var(ENV_RESTORE).map(PathBuf::from);
+    cfg.rendezvous = Some(dir);
+    Ok((shard, cfg))
+}
+
+/// Exit codes a worker uses for simulation failures (vs. spawn problems):
+/// its own, and a transport failure — usually a peer's failure seen from
+/// this end.
 const WORKER_FAILURE_EXIT: i32 = 70;
+const WORKER_TRANSPORT_EXIT: i32 = 71;
 
 /// Worker-mode hook: call first in `main` of any binary that invokes
 /// [`run_partitioned`].
@@ -499,100 +602,32 @@ const WORKER_FAILURE_EXIT: i32 = 70;
 /// parent. The indirection exists because workers are re-executions of
 /// the current binary: there is no separate worker executable to ship.
 pub fn maybe_worker(build: BuildFn) -> bool {
-    let Ok(shard) = std::env::var(ENV_SHARD) else {
+    if std::env::var_os(ENV_SHARD).is_none() {
         return false;
-    };
-    let shard: usize = shard.parse().unwrap_or_else(|_| {
-        eprintln!("invalid {ENV_SHARD}");
+    }
+    let (shard, cfg) = worker_config(|name| std::env::var_os(name)).unwrap_or_else(|e| {
+        eprintln!("invalid partition worker environment: {e}");
         std::process::exit(2);
     });
-    let dir = PathBuf::from(std::env::var(ENV_DIR).unwrap_or_else(|_| {
-        eprintln!("missing {ENV_DIR}");
-        std::process::exit(2);
-    }));
-    match worker_main(build, shard, &dir) {
+    let dir = cfg.rendezvous.clone().unwrap_or_default();
+    let ran = run_shard(build, &cfg, shard).and_then(|run| {
+        write_atomic(
+            &dir.join(format!("shard{shard}.result.json")),
+            run.to_value().to_string_pretty().as_bytes(),
+        )
+    });
+    match ran {
         Ok(()) => std::process::exit(0),
         Err(e) => {
             let msg = e.to_string();
             let _ = std::fs::write(dir.join(format!("shard{shard}.error")), &msg);
             eprintln!("worker shard {shard} failed: {msg}");
-            std::process::exit(WORKER_FAILURE_EXIT);
+            std::process::exit(match e {
+                SimError::Protocol { .. } => WORKER_TRANSPORT_EXIT,
+                _ => WORKER_FAILURE_EXIT,
+            });
         }
     }
-}
-
-fn env_var(name: &str) -> SimResult<String> {
-    std::env::var(name).map_err(|_| SimError::topology(format!("worker missing {name}")))
-}
-
-fn worker_main(build: BuildFn, shard: usize, dir: &Path) -> SimResult<()> {
-    let workers: usize = env_var(ENV_WORKERS)?
-        .parse()
-        .map_err(|_| SimError::topology("bad worker count"))?;
-    let transport = TransportChoice::parse(&env_var(ENV_TRANSPORT)?)?;
-    let cycles: u64 = env_var(ENV_CYCLES)?
-        .parse()
-        .map_err(|_| SimError::topology("bad cycle count"))?;
-    let spec = env_var(ENV_SPEC)?;
-
-    let (topo, config) = build(&spec)?;
-    let plan = match std::env::var(ENV_PLAN) {
-        Ok(enc) => {
-            let plan = PartitionPlan::decode(&topo, &enc)?;
-            if plan.workers() != workers {
-                return Err(SimError::protocol(format!(
-                    "plan has {} shards but the fleet spawned {workers} workers",
-                    plan.workers()
-                )));
-            }
-            plan
-        }
-        Err(_) => PartitionPlan::contiguous(&topo, workers)?,
-    };
-    // Compile against the full topology before the build consumes it;
-    // every worker compiles the same script against the same tree, then
-    // applies only its own shard's share.
-    let scenario = match std::env::var(ENV_SCENARIO) {
-        Ok(path) => Some(load_scenario(&path, &topo)?),
-        Err(_) => None,
-    };
-    let mut sim = topo.build_shard(config, &plan, shard)?;
-    if let Some(sc) = &scenario {
-        sim.apply_scenario(sc)?;
-    }
-
-    if let Ok(hook) = std::env::var(ENV_PANIC) {
-        install_panic_hook(&mut sim, shard, &hook)?;
-    }
-
-    // Restore before any exchange: restoring replaces every input queue,
-    // which would discard windows already injected.
-    if let Ok(path) = std::env::var(ENV_RESTORE) {
-        let cp = EngineCheckpoint::load_from(Path::new(&path))?;
-        sim.restore_by_name(&cp)?;
-    }
-    let checkpoint_at = match std::env::var(ENV_CKPT_AT) {
-        Ok(v) => Some(Cycle::new(
-            v.parse()
-                .map_err(|_| SimError::topology("bad checkpoint cycle"))?,
-        )),
-        Err(_) => None,
-    };
-
-    let run_id = run_id_for(&spec, workers, cycles, transport);
-    let result = run_shard(
-        &mut sim,
-        shard,
-        transport,
-        dir,
-        Cycle::new(cycles),
-        checkpoint_at,
-        run_id,
-    )?;
-    write_atomic(
-        &dir.join(format!("shard{shard}.result.json")),
-        result.to_string_pretty().as_bytes(),
-    )
 }
 
 /// Loads and compiles a scenario script against `topo`'s neutral view.
@@ -600,15 +635,19 @@ fn load_scenario(path: &str, topo: &Topology) -> SimResult<firesim_core::Compile
     crate::scenario::load(path)?.compile(&topo.scenario_topology())
 }
 
-/// Parses `"<shard>:<agent>@<cycle>"` and arms the fault on a match.
-fn install_panic_hook(sim: &mut Simulation, shard: usize, hook: &str) -> SimResult<()> {
+/// Parses a `"<shard>:<agent>@<cycle>"` panic hook.
+fn parse_panic_hook(hook: &str) -> SimResult<(usize, &str, u64)> {
     let parse = || -> Option<(usize, &str, u64)> {
         let (shard_s, rest) = hook.split_once(':')?;
         let (agent, cycle_s) = rest.split_once('@')?;
         Some((shard_s.parse().ok()?, agent, cycle_s.parse().ok()?))
     };
-    let (target_shard, agent, cycle) =
-        parse().ok_or_else(|| SimError::topology(format!("bad {ENV_PANIC} spec {hook:?}")))?;
+    parse().ok_or_else(|| SimError::topology(format!("bad {ENV_PANIC} spec {hook:?}")))
+}
+
+/// Arms the fault of a panic hook that names `shard`.
+fn install_panic_hook(sim: &mut Simulation, shard: usize, hook: &str) -> SimResult<()> {
+    let (target_shard, agent, cycle) = parse_panic_hook(hook)?;
     if target_shard == shard {
         let mut plan = FaultPlan::new(0);
         plan.panic_at(agent, cycle);
@@ -620,63 +659,52 @@ fn install_panic_hook(sim: &mut Simulation, shard: usize, hook: &str) -> SimResu
 /// Shared identity of one partitioned run. Every shard stamps this on
 /// its report so [`RunReport::merge_shards`] can reject merges across
 /// different runs.
-fn run_id_for(spec: &str, workers: usize, cycles: u64, transport: TransportChoice) -> String {
-    format!("{spec}#{workers}w#{cycles}c#{}", transport.as_str())
+fn run_id(cfg: &PartitionConfig) -> String {
+    let (spec, workers, cycles) = (&cfg.spec, cfg.workers, cfg.cycles.as_u64());
+    format!("{spec}#{workers}w#{cycles}c#{}", cfg.transport.as_str())
 }
 
-/// Runs one shard to the absolute `cycles` target, exchanging its
-/// boundaries with its peer shards over `transport`, and returns the
-/// worker's result document.
-fn run_shard(
-    sim: &mut Simulation,
-    shard: usize,
-    transport: TransportChoice,
-    dir: &Path,
-    cycles: Cycle,
-    checkpoint_at: Option<Cycle>,
-    run_id: String,
-) -> SimResult<serde_json::Value> {
-    let mut exchange = connect_peers(sim.take_boundaries(), shard, transport, dir)?;
-    let (ran, wall) = run_legs(sim, &mut exchange, shard, dir, cycles, checkpoint_at)?;
+/// One shard's outcome: cycles simulated, per-agent digests and report.
+struct ShardRun {
+    cycles: u64,
+    digests: Vec<(String, u64)>,
+    report: RunReport,
+}
 
-    let digests = sim.engine_mut().agent_digests()?;
-    let mut report = sim.run_report(wall);
-    report.run_id = Some(run_id);
-    report
-        .counters
-        .push(("host_transport_sends".to_owned(), exchange.sends));
-    report
-        .counters
-        .push(("host_transport_bytes".to_owned(), exchange.bytes));
+impl ShardRun {
+    /// The worker's result file: `{"cycles", "digests": {name: hash},
+    /// "report"}`.
+    fn to_value(&self) -> serde_json::Value {
+        use serde_json::Value;
+        let digests = self.digests.iter();
+        let digests = digests.map(|(name, hash)| (name.clone(), Value::from(*hash)));
+        Value::Object(BTreeMap::from([
+            ("cycles".to_owned(), Value::from(self.cycles)),
+            ("digests".to_owned(), Value::Object(digests.collect())),
+            ("report".to_owned(), self.report.to_value()),
+        ]))
+    }
 
-    let mut obj = std::collections::BTreeMap::new();
-    obj.insert("shard".to_owned(), serde_json::Value::from(shard as u64));
-    obj.insert("cycles".to_owned(), serde_json::Value::from(ran.as_u64()));
-    obj.insert(
-        "digests".to_owned(),
-        serde_json::Value::Array(
-            digests
+    fn from_value(v: &serde_json::Value) -> SimResult<ShardRun> {
+        let bad = |what: &str| SimError::checkpoint(format!("malformed worker result: {what}"));
+        let cycles = v.get("cycles").and_then(serde_json::Value::as_u64);
+        let digests = v.get("digests").and_then(serde_json::Value::as_object);
+        let report = v.get("report").ok_or_else(|| bad("no report"))?;
+        Ok(ShardRun {
+            cycles: cycles.ok_or_else(|| bad("no cycles"))?,
+            digests: digests
+                .ok_or_else(|| bad("no digests"))?
                 .iter()
-                .map(|(name, hash)| {
-                    let mut d = std::collections::BTreeMap::new();
-                    d.insert("name".to_owned(), serde_json::Value::from(name.as_str()));
-                    d.insert("hash".to_owned(), serde_json::Value::from(*hash));
-                    serde_json::Value::Object(d)
-                })
-                .collect(),
-        ),
-    );
-    obj.insert(
-        "report".to_owned(),
-        serde_json::from_str(&report.to_json())
-            .map_err(|e| SimError::checkpoint(format!("re-parsing own report: {e}")))?,
-    );
-    Ok(serde_json::Value::Object(obj))
+                .map(|(name, hash)| Ok((name.clone(), hash.as_u64().ok_or_else(|| bad(name))?)))
+                .collect::<SimResult<_>>()?,
+            report: RunReport::from_value(report).map_err(|e| bad(&e.to_string()))?,
+        })
+    }
 }
 
-/// Runs the shard to its absolute `target` cycle, optionally pausing at
-/// `checkpoint_at` to write `shard{i}.ckpt`. Returns `(cycles simulated,
-/// wall time)`.
+/// Runs shard `shard` of `cfg` to the absolute `cfg.cycles` target (see
+/// the module's worker protocol). Only a shard with no peer, a 1-worker
+/// run, may stream its legs (`cfg.stream`).
 ///
 /// The checkpoint files of one run form a consistent cut of the whole
 /// simulation with no rendezvous: every leg ends with its last exchange,
@@ -684,32 +712,114 @@ fn run_shard(
 /// and no peer can inject anything into this shard between its legs — a
 /// peer already into its next leg waits, its frame in the transport, for
 /// this shard's next exchange.
-fn run_legs(
-    sim: &mut Simulation,
-    exchange: &mut Exchange,
-    shard: usize,
-    dir: &Path,
-    target: Cycle,
-    checkpoint_at: Option<Cycle>,
-) -> SimResult<(Cycle, Duration)> {
+fn run_shard(build: BuildFn, cfg: &PartitionConfig, shard: usize) -> SimResult<ShardRun> {
+    let (topo, config) = build(&cfg.spec)?;
+    let plan = match &cfg.plan {
+        Some(plan) => plan.validated(&topo)?,
+        None => PartitionPlan::contiguous(&topo, cfg.workers)?,
+    };
+    if plan.workers() != cfg.workers {
+        return Err(SimError::topology(format!(
+            "config says {} workers but the plan has {} shards",
+            cfg.workers,
+            plan.workers()
+        )));
+    }
+    // Compile against the full topology before the build consumes it;
+    // every shard compiles the same script against the same tree, then
+    // applies only its own share.
+    let scenario = match &cfg.scenario {
+        Some(path) => Some(load_scenario(path, &topo)?),
+        None => None,
+    };
+    let mut sim = topo.build_shard(config, &plan, shard)?;
+    if let Some(sc) = &scenario {
+        sim.apply_scenario(sc)?;
+    }
+    if let Some(hook) = &cfg.worker_panic {
+        install_panic_hook(&mut sim, shard, hook)?;
+    }
+    // Restore before any exchange (restoring replaces every input queue,
+    // so it would discard windows already injected), and by name: merged
+    // checkpoints are name-sorted, not registration-ordered.
+    if let Some(path) = &cfg.restore_from {
+        sim.restore_by_name(&EngineCheckpoint::load_from(path)?)?;
+    }
+    // Only a shard with peers reads the rendezvous directory.
+    let dir = cfg.rendezvous.clone().unwrap_or_default();
+    let mut exchange = connect_peers(sim.take_boundaries(), shard, cfg.transport, &dir)?;
+
+    // A streamed run advances in interval-sized legs instead of one long
+    // one — the leg-splitting the checkpoint/repartition paths already
+    // prove is digest-identical. The probe primes at the current cycle,
+    // so restored runs stream deltas from the restore point.
+    let mut stream = match &cfg.stream {
+        Some(spec) => {
+            sim.enable_metrics();
+            let meta = StreamMeta {
+                run_id: Some(run_id(cfg)),
+                spec: cfg.spec.clone(),
+                workers: cfg.workers as u64,
+                transport: None,
+            };
+            let writer = StreamWriter::open(spec)?;
+            let interval = cfg.stream_interval.unwrap_or(0);
+            let mut session = StreamSession::begin(writer, &meta, &mut sim, cfg.cycles, interval)?;
+            if let Some(path) = &cfg.restore_from {
+                let label = format!("restored from {}", path.display());
+                session.event(sim.now().as_u64(), "restore", &label)?;
+            }
+            Some(session)
+        }
+        None => None,
+    };
     let began = sim.now();
     let mut wall = Duration::ZERO;
-    let mut run_to = |sim: &mut Simulation, to: Cycle| -> SimResult<()> {
-        let cycles = Cycle::new(to.as_u64() - sim.now().as_u64());
-        wall += sim.engine_mut().run_for_exchanging(cycles, exchange)?.wall;
-        Ok(())
-    };
-    if let Some(at) = checkpoint_at {
-        if at.as_u64() > sim.now().as_u64() && at.as_u64() <= target.as_u64() {
-            run_to(sim, at)?;
-            let cp = sim.checkpoint()?;
-            write_atomic(&dir.join(format!("shard{shard}.ckpt")), &cp.to_bytes())?;
+    let mut run_to =
+        |sim: &mut Simulation, stream: &mut Option<StreamSession>, to: Cycle| match stream {
+            Some(session) => session.run_to(sim, to, false),
+            None => {
+                let cycles = Cycle::new(to.as_u64() - sim.now().as_u64());
+                wall += sim
+                    .engine_mut()
+                    .run_for_exchanging(cycles, &mut exchange)?
+                    .wall;
+                Ok(())
+            }
+        };
+    if let Some(at) = cfg.checkpoint_at {
+        if at.as_u64() > began.as_u64() && at.as_u64() <= cfg.cycles.as_u64() {
+            run_to(&mut sim, &mut stream, at)?;
+            if let Some(out) = &cfg.checkpoint_out {
+                sim.checkpoint()?.save_to(out)?;
+                if let Some(session) = &mut stream {
+                    let label = format!("checkpoint saved to {}", out.display());
+                    session.event(at.as_u64(), "checkpoint", &label)?;
+                }
+            }
         }
     }
-    if target.as_u64() > sim.now().as_u64() {
-        run_to(sim, target)?;
+    if cfg.cycles.as_u64() > sim.now().as_u64() {
+        run_to(&mut sim, &mut stream, cfg.cycles)?;
     }
-    Ok((Cycle::new(sim.now().as_u64() - began.as_u64()), wall))
+    if let Some(session) = stream {
+        wall += session.finish(&sim)?.wall;
+    }
+
+    let digests = sim.engine_mut().agent_digests()?;
+    let mut report = sim.run_report(wall);
+    report.run_id = Some(run_id(cfg));
+    if !exchange.peers.is_empty() {
+        let counters = [("sends", exchange.sends), ("bytes", exchange.bytes)];
+        for (name, n) in counters {
+            report.counters.push((format!("host_transport_{name}"), n));
+        }
+    }
+    Ok(ShardRun {
+        cycles: sim.now().as_u64() - began.as_u64(),
+        digests,
+        report,
+    })
 }
 
 /// One peer shard: the connection to it and the cut links it carries, each
@@ -980,7 +1090,8 @@ static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// With one worker the shard runs in-process (no spawn, no transports) —
 /// the degenerate case the multi-process results must be bit-identical
 /// to. With more, the current executable is re-executed once per shard
-/// (see [`maybe_worker`]) and supervised against `cfg.deadline`.
+/// (see [`maybe_worker`]) and supervised against `cfg.deadline`. Either
+/// way the shard runs through the same function.
 ///
 /// # Errors
 ///
@@ -993,184 +1104,74 @@ pub fn run_partitioned(
     cfg: &PartitionConfig,
 ) -> Result<PartitionedRun, Box<FailureReport>> {
     let start = Instant::now();
-    let fail = |error: SimError, failing: Option<String>, deadline: bool| {
-        Box::new(FailureReport {
-            error,
-            failing_agent: failing,
-            fail_cycle: 0,
-            last_checkpoint: None,
-            attempts: 1,
-            injected_faults: Vec::new(),
-            stalled: false,
-            deadline_exceeded: deadline,
-        })
-    };
-
-    if cfg.workers == 1 {
-        return run_single(build, cfg, start).map_err(|e| fail(e, None, false));
-    }
-
-    let dir = match &cfg.rendezvous {
-        Some(d) => d.clone(),
-        None => std::env::temp_dir().join(format!(
-            "firesim-part-{}-{}",
-            std::process::id(),
-            RUN_SEQ.fetch_add(1, Ordering::Relaxed)
-        )),
-    };
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| fail(SimError::io("creating rendezvous dir", &e), None, false))?;
-    let cleanup = cfg.rendezvous.is_none();
-    let result = run_fleet(cfg, &dir, start, &fail);
-    if cleanup {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    result
-}
-
-fn run_single(
-    build: BuildFn,
-    cfg: &PartitionConfig,
-    start: Instant,
-) -> Result<PartitionedRun, SimError> {
-    let (topo, config) = build(&cfg.spec)?;
-    let plan = match &cfg.plan {
-        Some(plan) => {
-            if plan.workers() != 1 {
-                return Err(SimError::topology(format!(
-                    "config says 1 worker but the plan has {} shards",
-                    plan.workers()
-                )));
-            }
-            plan.clone()
+    let runs = if cfg.workers == 1 {
+        vec![run_shard(build, cfg, 0).map_err(|e| failure(e, None, false))?]
+    } else {
+        let dir = match &cfg.rendezvous {
+            Some(d) => d.clone(),
+            None => std::env::temp_dir().join(format!(
+                "firesim-part-{}-{}",
+                std::process::id(),
+                RUN_SEQ.fetch_add(1, Ordering::Relaxed)
+            )),
+        };
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| failure(SimError::io("creating rendezvous dir", &e), None, false))?;
+        let runs = run_fleet(cfg, &dir, start);
+        if cfg.rendezvous.is_none() {
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        None => PartitionPlan::contiguous(&topo, 1)?,
+        runs?
     };
-    let scenario = match &cfg.scenario {
-        Some(path) => Some(load_scenario(path, &topo)?),
-        None => None,
-    };
-    let mut sim = topo.build_shard(config, &plan, 0)?;
-    if let Some(sc) = &scenario {
-        sim.apply_scenario(sc)?;
+    let cycles = Cycle::new(runs[0].cycles);
+    let mut digests = Vec::new();
+    let mut reports = Vec::new();
+    for run in runs {
+        digests.extend(run.digests);
+        reports.push(run.report);
     }
-    if let Some(hook) = &cfg.worker_panic {
-        install_panic_hook(&mut sim, 0, hook)?;
-    }
-    // Merged checkpoints are name-sorted, not registration-ordered, so
-    // the monolithic continuation also restores by name.
-    if let Some(path) = &cfg.restore_from {
-        let cp = EngineCheckpoint::load_from(path)?;
-        sim.restore_by_name(&cp)?;
-    }
-    // A streamed run advances in interval-sized `run_for` legs instead
-    // of one long one — the leg-splitting the checkpoint/repartition
-    // paths already prove is digest-identical. The probe primes at the
-    // current cycle, so restored runs stream deltas from the restore
-    // point.
-    let mut stream = match &cfg.stream {
-        Some(spec) => {
-            sim.enable_metrics();
-            let writer = crate::stream::StreamWriter::open(spec)?;
-            let meta = crate::stream::StreamMeta {
-                run_id: Some(run_id_for(&cfg.spec, 1, cfg.cycles.as_u64(), cfg.transport)),
-                spec: cfg.spec.clone(),
-                workers: 1,
-                transport: None,
-            };
-            let mut session = crate::stream::StreamSession::begin(
-                writer,
-                &meta,
-                &mut sim,
-                cfg.cycles,
-                cfg.stream_interval.unwrap_or(0),
-            )?;
-            if let Some(path) = &cfg.restore_from {
-                session.event(
-                    sim.now().as_u64(),
-                    "restore",
-                    &format!("restored from {}", path.display()),
-                )?;
-            }
-            Some(session)
-        }
-        None => None,
-    };
-    let began = sim.now();
-    let mut wall = Duration::ZERO;
-    if let Some(at) = cfg.checkpoint_at {
-        if at.as_u64() > sim.now().as_u64() && at.as_u64() <= cfg.cycles.as_u64() {
-            match &mut stream {
-                Some(session) => session.run_to(&mut sim, at, false)?,
-                None => {
-                    let leg = sim.run_for(Cycle::new(at.as_u64() - sim.now().as_u64()))?;
-                    wall += leg.wall;
-                }
-            }
-            if let Some(out) = &cfg.checkpoint_out {
-                sim.checkpoint()?.save_to(out)?;
-                if let Some(session) = &mut stream {
-                    session.event(
-                        at.as_u64(),
-                        "checkpoint",
-                        &format!("checkpoint saved to {}", out.display()),
-                    )?;
-                }
-            }
-        }
-    }
-    if cfg.cycles.as_u64() > sim.now().as_u64() {
-        match &mut stream {
-            Some(session) => session.run_to(&mut sim, cfg.cycles, false)?,
-            None => {
-                let leg = sim.run_for(Cycle::new(cfg.cycles.as_u64() - sim.now().as_u64()))?;
-                wall += leg.wall;
-            }
-        }
-    }
-    if let Some(session) = stream {
-        wall += session.finish(&sim)?.wall;
-    }
-    let digests = sim.engine_mut().agent_digests()?;
-    let digest = combined_digest(&digests);
-    let mut digests = digests;
+    let combined_digest = combined_digest(&digests);
     digests.sort();
-    let mut report = sim.run_report(wall);
-    report.run_id = Some(run_id_for(&cfg.spec, 1, cfg.cycles.as_u64(), cfg.transport));
+    // A fleet's shard reports merge (which rejects shards that reached
+    // different cycles); a lone shard's report is the run's.
+    let mut report = match reports.len() {
+        1 => reports.remove(0),
+        _ => RunReport::merge_shards(&reports).map_err(|e| failure(e, None, false))?,
+    };
     report.cost = cfg.cost.clone();
     Ok(PartitionedRun {
-        workers: 1,
-        cycles: Cycle::new(sim.now().as_u64() - began.as_u64()),
-        combined_digest: digest,
+        workers: cfg.workers,
+        cycles,
         digests,
+        combined_digest,
         report,
         wall: start.elapsed(),
     })
 }
 
-#[allow(clippy::type_complexity)]
+/// The failure of a partitioned run, naming `shard` when one is to blame.
+fn failure(error: SimError, shard: Option<usize>, deadline: bool) -> Box<FailureReport> {
+    Box::new(FailureReport {
+        error,
+        failing_agent: shard.map(|s| format!("shard{s}")),
+        fail_cycle: 0,
+        last_checkpoint: None,
+        attempts: 1,
+        injected_faults: Vec::new(),
+        stalled: false,
+        deadline_exceeded: deadline,
+    })
+}
+
+/// Spawns and supervises one worker process per shard, then collects
+/// their results and merges their checkpoints.
 fn run_fleet(
     cfg: &PartitionConfig,
     dir: &Path,
     start: Instant,
-    fail: &dyn Fn(SimError, Option<String>, bool) -> Box<FailureReport>,
-) -> Result<PartitionedRun, Box<FailureReport>> {
+) -> Result<Vec<ShardRun>, Box<FailureReport>> {
     let exe = std::env::current_exe()
-        .map_err(|e| fail(SimError::io("locating current executable", &e), None, false))?;
-
-    if let Some(plan) = &cfg.plan {
-        if plan.workers() != cfg.workers {
-            return Err(fail(
-                SimError::topology(format!(
-                    "config says {} workers but the plan has {} shards",
-                    cfg.workers,
-                    plan.workers()
-                )),
-                None,
-                false,
-            ));
-        }
-    }
+        .map_err(|e| failure(SimError::io("locating current executable", &e), None, false))?;
 
     // The fleet parent streams merge points only: it never builds the
     // topology, so per-interval samples come from single-worker runs
@@ -1180,14 +1181,9 @@ fn run_fleet(
     // golden-fixtured (DESIGN §17).
     let mut stream = match &cfg.stream {
         Some(spec) => {
-            let mut w = StreamWriter::open(spec).map_err(|e| fail(e, None, false))?;
+            let mut w = StreamWriter::open(spec).map_err(|e| failure(e, None, false))?;
             w.emit(&StreamRecord::RunStart(RunStartRecord {
-                run_id: Some(run_id_for(
-                    &cfg.spec,
-                    cfg.workers,
-                    cfg.cycles.as_u64(),
-                    cfg.transport,
-                )),
+                run_id: Some(run_id(cfg)),
                 spec: cfg.spec.clone(),
                 agents: 0,
                 workers: cfg.workers as u64,
@@ -1196,7 +1192,7 @@ fn run_fleet(
                 interval: 0,
                 transport: Some(cfg.transport.as_str().to_owned()),
             }))
-            .map_err(|e| fail(e, None, false))?;
+            .map_err(|e| failure(e, None, false))?;
             Some(w)
         }
         None => None,
@@ -1219,136 +1215,81 @@ fn run_fleet(
         }
     };
     for shard in 0..cfg.workers {
-        let mut cmd = Command::new(&exe);
-        cmd.env(ENV_SHARD, shard.to_string())
-            .env(ENV_WORKERS, cfg.workers.to_string())
-            .env(ENV_TRANSPORT, cfg.transport.as_str())
-            .env(ENV_DIR, dir)
-            .env(ENV_CYCLES, cfg.cycles.as_u64().to_string())
-            .env(ENV_SPEC, &cfg.spec)
-            .stdin(Stdio::null());
-        if let Some(hook) = &cfg.worker_panic {
-            cmd.env(ENV_PANIC, hook);
-        }
-        if let Some(path) = &cfg.scenario {
-            cmd.env(ENV_SCENARIO, path);
-        }
-        if let Some(plan) = &cfg.plan {
-            cmd.env(ENV_PLAN, plan.encode());
-        }
-        if let Some(at) = cfg.checkpoint_at {
-            cmd.env(ENV_CKPT_AT, at.as_u64().to_string());
-        }
-        if let Some(path) = &cfg.restore_from {
-            cmd.env(ENV_RESTORE, path);
-        }
-        match cmd.spawn() {
+        let spawned = Command::new(&exe)
+            .envs(worker_env(cfg, shard, dir))
+            .stdin(Stdio::null())
+            .spawn();
+        match spawned {
             Ok(child) => {
-                emit_event(
-                    &mut stream,
-                    0,
-                    "worker_spawn",
-                    format!("shard{shard} pid={}", child.id()),
-                );
+                let spawned = format!("shard{shard} pid={}", child.id());
+                emit_event(&mut stream, 0, "worker_spawn", spawned);
                 children.push((shard, child));
             }
             Err(e) => {
                 kill_all(&mut children);
-                return Err(fail(
-                    SimError::io(format!("spawning worker shard {shard}"), &e),
-                    Some(format!("shard{shard}")),
-                    false,
-                ));
+                let e = SimError::io(format!("spawning worker shard {shard}"), &e);
+                return Err(failure(e, Some(shard), false));
             }
         }
     }
 
     // Supervise: any nonzero exit or the deadline kills the whole fleet —
     // the cross-process analogue of the supervisor's watchdog.
-    let mut exited: HashSet<usize> = HashSet::new();
-    let mut remaining = children.len();
-    while remaining > 0 {
-        if start.elapsed() > cfg.deadline {
+    let mut failed: Vec<(usize, String, bool)> = Vec::new();
+    while !children.is_empty() {
+        let deadline = cfg.deadline;
+        if start.elapsed() > deadline {
             kill_all(&mut children);
-            return Err(fail(
-                SimError::aborted(format!(
-                    "partitioned run exceeded its {:?} deadline",
-                    cfg.deadline
-                )),
-                None,
-                true,
+            let e = SimError::aborted(format!(
+                "partitioned run exceeded its {deadline:?} deadline"
             ));
+            return Err(failure(e, None, true));
         }
-        let mut failure: Option<(usize, String)> = None;
-        for (shard, child) in children.iter_mut() {
-            if failure.is_some() {
-                break;
-            }
-            match child.try_wait() {
-                Ok(None) => {}
-                Ok(Some(status)) if status.success() => {}
-                Ok(Some(status)) => {
-                    let msg = std::fs::read_to_string(dir.join(format!("shard{shard}.error")))
-                        .unwrap_or_else(|_| format!("worker exited with {status}"));
-                    failure = Some((*shard, msg.trim().to_owned()));
-                }
-                Err(e) => failure = Some((*shard, format!("waiting on worker: {e}"))),
-            }
-        }
-        if let Some((shard, msg)) = failure {
-            kill_all(&mut children);
-            return Err(fail(
-                SimError::agent(format!("shard{shard}"), msg),
-                Some(format!("shard{shard}")),
-                false,
-            ));
-        }
-        // try_wait returning Ok(Some(success)) keeps returning that same
-        // status on subsequent polls, so counting exits each pass is safe.
-        remaining = 0;
-        for (shard, c) in children.iter_mut() {
-            if matches!(c.try_wait(), Ok(None)) {
-                remaining += 1;
-            } else if exited.insert(*shard) {
+        children.retain_mut(|(shard, child)| match child.try_wait() {
+            Ok(None) => true,
+            Ok(Some(status)) if status.success() => {
                 emit_event(&mut stream, 0, "worker_exit", format!("shard{shard} done"));
+                false
             }
+            Ok(Some(status)) => {
+                let msg = std::fs::read_to_string(dir.join(format!("shard{shard}.error")))
+                    .unwrap_or_else(|_| format!("worker exited with {status}"));
+                let transport = status.code() == Some(WORKER_TRANSPORT_EXIT);
+                failed.push((*shard, msg.trim().to_owned(), transport));
+                false
+            }
+            Err(e) => {
+                failed.push((*shard, format!("waiting on worker: {e}"), false));
+                true
+            }
+        });
+        // A transport failure is usually a peer's failure seen from the
+        // other end: it is the cause only if no other shard fails.
+        let cause = failed.iter().find(|(_, _, transport)| !transport);
+        if let Some((shard, msg, _)) = cause.or(failed.first().filter(|_| children.is_empty())) {
+            let e = SimError::agent(format!("shard{shard}"), msg.clone());
+            let shard = *shard;
+            kill_all(&mut children);
+            return Err(failure(e, Some(shard), false));
         }
-        if remaining > 0 {
+        if !children.is_empty() {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
 
-    // Merge the shard results.
-    let mut digests: Vec<(String, u64)> = Vec::new();
-    let mut reports: Vec<RunReport> = Vec::new();
-    let mut cycles = 0u64;
-    for shard in 0..cfg.workers {
-        let path = dir.join(format!("shard{shard}.result.json"));
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            fail(
-                SimError::io(format!("reading {}", path.display()), &e),
-                None,
-                false,
-            )
-        })?;
-        let (shard_cycles, shard_digests, report) = parse_worker_result(&text)
-            .map_err(|e| fail(e, Some(format!("shard{shard}")), false))?;
-        if shard > 0 && shard_cycles != cycles {
-            return Err(fail(
-                SimError::protocol(format!(
-                    "shard {shard} reached cycle {shard_cycles}, others {cycles}: \
-                     the fleet desynchronised"
-                )),
-                Some(format!("shard{shard}")),
-                false,
-            ));
-        }
-        cycles = shard_cycles;
-        digests.extend(shard_digests);
-        reports.push(report);
-    }
-    let digest = combined_digest(&digests);
-    digests.sort();
+    let runs = (0..cfg.workers)
+        .map(|shard| {
+            let path = dir.join(format!("shard{shard}.result.json"));
+            std::fs::read_to_string(&path)
+                .map_err(|e| SimError::io(format!("reading {}", path.display()), &e))
+                .and_then(|text| {
+                    serde_json::from_str(&text)
+                        .map_err(|e| SimError::checkpoint(format!("malformed worker result: {e}")))
+                })
+                .and_then(|value| ShardRun::from_value(&value))
+                .map_err(|e| failure(e, Some(shard), false))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Fold the per-shard checkpoint files into one name-sorted FSCKPT01
     // checkpoint any future sharding can restore from.
@@ -1358,10 +1299,10 @@ fn run_fleet(
                 EngineCheckpoint::<Flit>::load_from(dir.join(format!("shard{shard}.ckpt")))
             })
             .collect::<SimResult<Vec<_>>>()
-            .map_err(|e| fail(e, None, false))?;
+            .map_err(|e| failure(e, None, false))?;
         EngineCheckpoint::merge(parts)
             .and_then(|cp| cp.save_to(out))
-            .map_err(|e| fail(e, None, false))?;
+            .map_err(|e| failure(e, None, false))?;
         emit_event(
             &mut stream,
             at.as_u64(),
@@ -1369,68 +1310,15 @@ fn run_fleet(
             format!("merged checkpoint saved to {}", out.display()),
         );
     }
-
-    let mut report = RunReport::merge_shards(&reports).map_err(|e| fail(e, None, false))?;
-    report.cost = cfg.cost.clone();
     if let Some(w) = &mut stream {
         let _ = w.emit(&StreamRecord::RunEnd(RunEndRecord {
-            cycle: cycles,
+            cycle: runs[0].cycles,
             intervals: 0,
             wall_ns: start.elapsed().as_nanos() as u64,
             done: false,
         }));
     }
-    Ok(PartitionedRun {
-        workers: cfg.workers,
-        cycles: Cycle::new(cycles),
-        combined_digest: digest,
-        digests,
-        report,
-        wall: start.elapsed(),
-    })
-}
-
-/// `(cycles, per-agent digests, report)` parsed from a worker's result file.
-type WorkerResult = (u64, Vec<(String, u64)>, RunReport);
-
-fn parse_worker_result(text: &str) -> SimResult<WorkerResult> {
-    let value: serde_json::Value = serde_json::from_str(text)
-        .map_err(|e| SimError::checkpoint(format!("malformed worker result: {e}")))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| SimError::checkpoint("worker result must be an object"))?;
-    let cycles = obj
-        .get("cycles")
-        .and_then(serde_json::Value::as_u64)
-        .ok_or_else(|| SimError::checkpoint("worker result missing cycles"))?;
-    let digests = match obj.get("digests") {
-        Some(serde_json::Value::Array(items)) => items
-            .iter()
-            .map(|d| {
-                let d = d
-                    .as_object()
-                    .ok_or_else(|| SimError::checkpoint("digest entry must be an object"))?;
-                let name = d
-                    .get("name")
-                    .and_then(serde_json::Value::as_str)
-                    .ok_or_else(|| SimError::checkpoint("digest missing name"))?;
-                let hash = d
-                    .get("hash")
-                    .and_then(serde_json::Value::as_u64)
-                    .ok_or_else(|| SimError::checkpoint("digest missing hash"))?;
-                Ok((name.to_owned(), hash))
-            })
-            .collect::<SimResult<Vec<_>>>()?,
-        _ => return Err(SimError::checkpoint("worker result missing digests")),
-    };
-    let report = obj
-        .get("report")
-        .ok_or_else(|| SimError::checkpoint("worker result missing report"))
-        .and_then(|r| {
-            RunReport::from_json(&r.to_string_pretty())
-                .map_err(|e| SimError::checkpoint(format!("re-parsing shard report: {e}")))
-        })?;
-    Ok((cycles, digests, report))
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -1564,6 +1452,130 @@ mod tests {
             if let Ok(plan) = PartitionPlan::decode(&topo, &text) {
                 prop_assert!(plan.workers() <= 4 + 3, "{text:?}");
                 prop_assert_eq!(PartitionPlan::decode(&topo, &plan.encode()).unwrap(), plan);
+            }
+        }
+    }
+
+    /// Text made of what could break an encoding: separators, spaces, path
+    /// characters and non-ASCII.
+    fn awkward_text() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just("n"),
+            Just("7"),
+            Just(";"),
+            Just(","),
+            Just(" "),
+            Just("="),
+            Just(":"),
+            Just("@"),
+            Just("/"),
+            Just("é"),
+            Just("→"),
+            Just("\u{1F980}"),
+        ];
+        proptest::collection::vec(piece, 0..12).prop_map(|p| p.concat())
+    }
+
+    /// Reads an encoded worker environment as a worker reads its own.
+    fn lookup<'a>(env: &'a [(&str, OsString)]) -> impl Fn(&str) -> Option<OsString> + 'a {
+        move |name| env.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
+    }
+
+    /// A path with a byte that is not UTF-8 in it.
+    fn raw_path(text: &str) -> PathBuf {
+        use std::os::unix::ffi::OsStringExt;
+        PathBuf::from(text).join(OsString::from_vec(vec![b'r', 0xff, b'/']))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every option a worker reads decodes to what the parent encoded.
+        #[test]
+        fn worker_env_round_trips(
+            spec in awkward_text(),
+            path in awkward_text(),
+            scenario in proptest::option::of(awkward_text()),
+            hook in proptest::option::of(awkward_text()),
+            workers in 1usize..6,
+            cycles in any::<u64>(),
+            at in proptest::option::of(any::<u64>()),
+            transport in 0usize..3,
+            servers in proptest::collection::vec(0usize..6, 0..6),
+            switches in proptest::option::of(proptest::collection::vec(0usize..6, 0..4)),
+            restore in any::<bool>(),
+        ) {
+            let mut cfg = PartitionConfig::new(workers, Cycle::new(cycles), spec);
+            cfg.transport =
+                [TransportChoice::Shm, TransportChoice::Tcp, TransportChoice::Unix][transport];
+            cfg.worker_panic = hook;
+            cfg.scenario = scenario;
+            cfg.plan = switches.map(|switch_shard| PartitionPlan {
+                workers,
+                server_shard: servers,
+                switch_shard,
+            });
+            cfg.checkpoint_at = at.map(Cycle::new);
+            cfg.restore_from = Some(raw_path(&path)).filter(|_| restore);
+            let (shard, dir) = (workers - 1, raw_path(&path).join("rendezvous"));
+            let env = worker_env(&cfg, shard, &dir);
+            let (got_shard, got) = worker_config(lookup(&env)).unwrap();
+            prop_assert_eq!(got_shard, shard);
+            prop_assert_eq!(got.workers, cfg.workers);
+            prop_assert_eq!(got.transport, cfg.transport);
+            prop_assert_eq!(got.cycles, cfg.cycles);
+            prop_assert_eq!(&got.spec, &cfg.spec);
+            prop_assert_eq!(&got.worker_panic, &cfg.worker_panic);
+            prop_assert_eq!(&got.scenario, &cfg.scenario);
+            prop_assert_eq!(&got.plan, &cfg.plan);
+            prop_assert_eq!(got.checkpoint_at, cfg.checkpoint_at);
+            prop_assert_eq!(&got.restore_from, &cfg.restore_from);
+            let ckpt = cfg.checkpoint_at.map(|_| dir.join(format!("shard{shard}.ckpt")));
+            prop_assert_eq!(got.checkpoint_out, ckpt);
+            prop_assert_eq!(got.rendezvous, Some(dir));
+        }
+
+        /// A worker variable that is missing, garbled or not UTF-8 decodes to
+        /// a typed error, never a panic; so does a garbled panic hook.
+        #[test]
+        fn malformed_worker_env_is_a_typed_error(
+            victim in 0usize..11,
+            junk in proptest::collection::vec(prop_oneof![
+                Just("x"), Just("-1"), Just(""), Just(";"), Just(","), Just("9"), Just(":"),
+                Just("@"), Just("é"), Just("18446744073709551616"), Just("\u{0}"),
+            ], 0..5),
+            how in 0usize..3,
+        ) {
+            let mut cfg = PartitionConfig::new(2, Cycle::new(64_000), "fig8,nodes=4");
+            cfg.worker_panic = Some("1:n0x1@100".to_owned());
+            cfg.scenario = Some("chaos.json".to_owned());
+            cfg.plan = Some(PartitionPlan::contiguous(&racked_topology(2, 2), 2).unwrap());
+            cfg.checkpoint_at = Some(Cycle::new(32_000));
+            cfg.restore_from = Some(PathBuf::from("merged.ckpt"));
+            let mut env = worker_env(&cfg, 1, Path::new("rendezvous"));
+            prop_assert_eq!(env.len(), 11);
+            let junk = junk.concat();
+            match how {
+                0 => drop(env.remove(victim)),
+                1 => env[victim].1 = junk.clone().into(),
+                _ => {
+                    use std::os::unix::ffi::OsStringExt;
+                    env[victim].1 = OsString::from_vec(vec![b'1', 0xff]);
+                }
+            }
+            let typed = |e: &SimError| {
+                matches!(e, SimError::Protocol { .. } | SimError::Topology { .. })
+            };
+            match worker_config(lookup(&env)) {
+                Ok((_, got)) => {
+                    if let Some(Err(e)) = got.worker_panic.as_deref().map(parse_panic_hook) {
+                        prop_assert!(typed(&e), "{e}");
+                    }
+                }
+                Err(e) => prop_assert!(typed(&e), "{e}"),
+            }
+            if let Err(e) = parse_panic_hook(&junk) {
+                prop_assert!(typed(&e), "{e}");
             }
         }
     }

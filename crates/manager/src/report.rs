@@ -489,7 +489,7 @@ impl RunReport {
         out
     }
 
-    fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let counters_value = |counters: &[(String, u64)]| {
             Value::Array(
                 counters
@@ -627,7 +627,7 @@ impl RunReport {
         Value::Object(obj)
     }
 
-    fn from_value(v: &Value) -> Result<Self, serde_json::Error> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, serde_json::Error> {
         let obj = v
             .as_object()
             .ok_or_else(|| serde_json::Error::custom("report must be a JSON object"))?;

@@ -35,7 +35,7 @@
 //! is what lets shards that all send before they receive never wait on
 //! each other.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::fs::FileExt;
@@ -74,7 +74,9 @@ struct Backoff {
 }
 
 impl Backoff {
-    fn wait(&mut self) {
+    /// Waits one step and returns whether the wait has reached its sleep
+    /// phase, where a check costing a syscall is cheap by comparison.
+    fn wait(&mut self) -> bool {
         let waited = self.since.get_or_insert_with(Instant::now).elapsed();
         if waited < SPIN_FOR {
             std::hint::spin_loop();
@@ -82,7 +84,9 @@ impl Backoff {
             std::thread::yield_now();
         } else {
             std::thread::sleep(POLL_SLEEP);
+            return true;
         }
+        false
     }
 }
 
@@ -151,6 +155,17 @@ pub trait TokenTransport<T: Snapshot>: Send {
     /// The receive buffer and one-link sequence numbers of this endpoint.
     fn state(&mut self) -> &mut EndpointState;
 
+    /// Called while a wait on the peer sleeps: a backend whose wire has no
+    /// end-of-stream of its own checks here whether the peer is still
+    /// there, and records a gone peer in its [`EndpointState`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the check itself fails.
+    fn check_peer(&mut self) -> SimResult<()> {
+        Ok(())
+    }
+
     /// Ships one sealed round frame to the peer, waiting for as long as
     /// the peer is behind; see [`send_all`].
     ///
@@ -202,7 +217,9 @@ pub trait TokenTransport<T: Snapshot>: Send {
             if halt.load(Ordering::SeqCst) {
                 return Ok(false);
             }
-            backoff.wait();
+            if backoff.wait() {
+                self.check_peer()?;
+            }
         }
     }
 
@@ -294,7 +311,11 @@ pub fn send_all<T: Snapshot, L: TokenTransport<T> + ?Sized>(
                 "aborted while a peer had no room for a round frame",
             ));
         }
-        backoff.wait();
+        if backoff.wait() {
+            for link in links.iter_mut() {
+                link.check_peer()?;
+            }
+        }
     }
 }
 
@@ -367,14 +388,16 @@ impl<T: Snapshot + Send> TokenTransport<T> for ChannelTransport<T> {
 // Shared-memory ring backend
 // ---------------------------------------------------------------------------
 
-/// On-disk layout of one SPSC ring: magic, capacity, then two monotonic
-/// byte counters. Data bytes start at [`RING_HEADER_BYTES`].
+/// On-disk layout of one SPSC ring: magic, capacity, two monotonic byte
+/// counters, then a flag the producing end sets once it holds the ring's
+/// lock. Data bytes start at [`RING_HEADER_BYTES`].
 const RING_MAGIC: u64 = 0x4649_5245_5349_4D31; // "FIRESIM1"
-const RING_HEADER_BYTES: u64 = 32;
+const RING_HEADER_BYTES: u64 = 40;
 const OFF_MAGIC: u64 = 0;
 const OFF_CAPACITY: u64 = 8;
 const OFF_WRITE_POS: u64 = 16;
 const OFF_READ_POS: u64 = 24;
+const OFF_PRODUCING: u64 = 32;
 
 /// One end of a single-producer single-consumer byte ring backed by a
 /// plain file.
@@ -388,6 +411,11 @@ const OFF_READ_POS: u64 = 24;
 /// monotonic byte offsets; `pos % capacity` locates the byte in the ring.
 /// Each end moves only its own counter, so it keeps that one in memory and
 /// reads only the other's from the file.
+///
+/// The producing end holds the file's lock (`flock`) for as long as it
+/// lives, and the kernel drops it however the process ends — `exit`,
+/// panic or `SIGKILL` — so a free lock after the producer took it means
+/// the producer is gone.
 #[derive(Debug)]
 struct ShmRing {
     file: File,
@@ -438,6 +466,32 @@ impl ShmRing {
                 )));
             }
             backoff.wait();
+        }
+    }
+
+    /// Makes this the producing end: takes the lock it holds until it is
+    /// dropped, then says so in the header.
+    fn produce(self) -> SimResult<Self> {
+        self.file
+            .lock()
+            .map_err(|e| SimError::io("locking shm ring", &e))?;
+        self.put_u64(OFF_PRODUCING, 1)?;
+        Ok(self)
+    }
+
+    /// Whether the producing end has gone: it took the lock, and the lock
+    /// is free. A producer that has not opened its end yet is not gone.
+    fn producer_gone(&self) -> SimResult<bool> {
+        if self.get_u64(OFF_PRODUCING)? == 0 {
+            return Ok(false);
+        }
+        match self.file.try_lock() {
+            Ok(()) => {
+                let _ = self.file.unlock();
+                Ok(true)
+            }
+            Err(TryLockError::WouldBlock) => Ok(false),
+            Err(TryLockError::Error(e)) => Err(SimError::io("probing shm ring lock", &e)),
         }
     }
 
@@ -529,8 +583,12 @@ impl ShmRing {
 /// SPSC ring, so the duplex endpoint never contends with itself. Frames
 /// are the same round frames a socket carries; the ring is a byte stream,
 /// not a window queue, which keeps the wire format identical across
-/// backends. A ring has no end-of-stream signal: a peer that died just
-/// stops answering.
+/// backends. A ring has no end-of-stream of its own; instead each end
+/// holds the lock of the ring it produces (see [`ShmRing`]), and a wait
+/// that has reached its sleep phase checks the peer's. Once that lock is
+/// free the peer counts as closed: [`recv_round`](TokenTransport::recv_round)
+/// returns `Ok(false)` once it has read the rest of the ring, and a send is
+/// a [`SimError::Protocol`].
 #[derive(Debug)]
 pub struct ShmTransport<T> {
     tx_ring: ShmRing,
@@ -563,7 +621,7 @@ impl<T: Snapshot> ShmTransport<T> {
     /// Fails if the ring files cannot be created or sized.
     pub fn create(prefix: &Path) -> SimResult<Self> {
         Ok(Self::from_rings(
-            ShmRing::create(&prefix.with_extension("c2o"), SHM_RING_BYTES)?,
+            ShmRing::create(&prefix.with_extension("c2o"), SHM_RING_BYTES)?.produce()?,
             ShmRing::create(&prefix.with_extension("o2c"), SHM_RING_BYTES)?,
         ))
     }
@@ -577,7 +635,7 @@ impl<T: Snapshot> ShmTransport<T> {
     pub fn open(prefix: &Path, halt: &AtomicBool) -> SimResult<Self> {
         // Mirror of create: our tx is the peer's rx.
         Ok(Self::from_rings(
-            ShmRing::open(&prefix.with_extension("o2c"), halt)?,
+            ShmRing::open(&prefix.with_extension("o2c"), halt)?.produce()?,
             ShmRing::open(&prefix.with_extension("c2o"), halt)?,
         ))
     }
@@ -589,6 +647,11 @@ impl<T: Snapshot + Send> TokenTransport<T> for ShmTransport<T> {
     }
 
     fn try_send(&mut self, bytes: &[u8]) -> SimResult<usize> {
+        if self.state.closed {
+            return Err(SimError::protocol(
+                "shm peer exited while a round frame was unsent",
+            ));
+        }
         self.tx_ring.try_push(bytes)
     }
 
@@ -603,6 +666,14 @@ impl<T: Snapshot + Send> TokenTransport<T> for ShmTransport<T> {
 
     fn state(&mut self) -> &mut EndpointState {
         &mut self.state
+    }
+
+    fn check_peer(&mut self) -> SimResult<()> {
+        // A peer may publish its last frame and go between a wait's last
+        // read and this check; nothing is lost, because the waits drain
+        // the ring before they look at `closed`.
+        self.state.closed |= self.rx_ring.producer_gone()?;
+        Ok(())
     }
 }
 
@@ -1057,6 +1128,42 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("send on a full ring ignored abort");
         assert!(matches!(err, SimError::Aborted { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An shm peer that goes away mid-stream ends the survivor's waits as a
+    /// closed socket does, within 2 s: a send into its full ring is a
+    /// protocol error, the survivor still reads the last window the peer
+    /// published, and then its receive ends. A peer that has not opened
+    /// its end yet is never taken for gone.
+    #[test]
+    fn shm_survivor_sees_a_dropped_peer() {
+        let dir = std::env::temp_dir().join(format!("firesim-shm-dead-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join("ring");
+        let mut survivor = ShmTransport::<u64>::create(&prefix).unwrap();
+        std::thread::sleep(POLL_SLEEP);
+        survivor.check_peer().unwrap();
+        assert!(!survivor.state.closed, "a peer that never opened is gone");
+
+        let mut peer = ShmTransport::<u64>::open(&prefix, &NEVER).unwrap();
+        peer.send_window(&window(4, &[(1, 7)])).unwrap();
+        drop(peer);
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            // More than the ring holds, and nobody drains it.
+            let send = survivor.send_frame(&vec![0; SHM_RING_BYTES as usize + 1], &NEVER);
+            let last = survivor.recv_window(&NEVER).unwrap();
+            let end = survivor.recv_window(&NEVER).unwrap();
+            done_tx.send((send, last, end)).unwrap();
+        });
+        let (send, last, end) = done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the survivor still waits on a dropped peer");
+        assert_eq!(last.expect("the last window was lost").get(1), Some(&7));
+        assert!(end.is_none());
+        let err = send.unwrap_err();
+        assert!(matches!(err, SimError::Protocol { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -322,6 +322,28 @@ fn dead_worker_is_named() {
         "report must name the dead shard: {report}"
     );
 
+    // The higher shard dies while the lower one waits on it. The survivor
+    // fails too, on every backend, with a transport error that is only the
+    // dead shard seen from the other end: the report must still name shard 1.
+    for transport in [
+        TransportChoice::Shm,
+        TransportChoice::Tcp,
+        TransportChoice::Unix,
+    ] {
+        let mut cfg = PartitionConfig::new(2, Cycle::new(CYCLES), "seed=1".to_string());
+        cfg.transport = transport;
+        cfg.worker_panic = Some("1:idle_b0@100000".to_string());
+        let report = match run_partitioned(build_seeded, &cfg) {
+            Err(report) => report,
+            Ok(run) => panic!("worker panic injected but the fleet succeeded: {run:?}"),
+        };
+        assert_eq!(
+            report.failing_agent.as_deref(),
+            Some("shard1"),
+            "{transport:?}: report must name the dead shard: {report}"
+        );
+    }
+
     // One worker runs in the parent process, without a fleet; the hook
     // must still fire rather than be silently ignored.
     let mut cfg = PartitionConfig::new(1, Cycle::new(CYCLES), "seed=1".to_string());

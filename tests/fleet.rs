@@ -19,6 +19,8 @@
 //!   capacity is never exceeded, every agent is placed exactly once,
 //!   plans round-trip through the wire encoding, and placement is
 //!   deterministic for a fixed profile.
+//! * **Fig 8 fleet rows** — a row's rate is the run's cycles over the
+//!   workers' run legs, not over the parent's spawn-inclusive wall clock.
 //! * **Pinned cost model** — the paper's 1024-node datacenter placed on
 //!   the EC2 fleet reproduces §V-C (32 f1.16xlarge + 5 m4.16xlarge) and
 //!   the modeled $/hour, cut links, simulation rate, and $/sim-hour
@@ -32,6 +34,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use firesim_bench::experiments::Fig8DistRow;
 use firesim_blade::programs;
 use firesim_core::Cycle;
 use firesim_manager::catalogue::{self, Dims};
@@ -585,6 +588,26 @@ fn paper_cost_model_matches_baseline() {
     );
 }
 
+/// A short 2-worker Fig 8 row times the workers' run legs: its rate is the
+/// run's cycles over the merged report's `wall_ns`, which leaves out the
+/// spawns and shard builds that the parent's `wall` includes.
+fn fig8_fleet_rows_time_the_run_legs() {
+    let cfg = PartitionConfig::new(2, Cycle::new(64_000), "fig8,nodes=4");
+    let run = run_partitioned(catalogue::build, &cfg).expect("fig8 fleet runs");
+    let row = Fig8DistRow::of(&run, 4, f64::INFINITY);
+    let cycles = run.cycles.as_u64() as f64;
+    let legs_mhz = cycles * 1e3 / run.report.wall_ns as f64;
+    assert!(
+        (row.sim_rate_mhz - legs_mhz).abs() <= legs_mhz * 1e-12,
+        "{row:?}"
+    );
+    let spawn_inclusive_mhz = cycles / 1e6 / run.wall.as_secs_f64();
+    assert!(
+        row.sim_rate_mhz >= spawn_inclusive_mhz,
+        "{row:?} vs {run:?}"
+    );
+}
+
 fn main() {
     // Worker processes re-exec this binary with shard assignments in the
     // environment; this call never returns for them.
@@ -606,6 +629,8 @@ fn main() {
     println!("ok - placement_plan_executes_end_to_end");
     repartition_mid_run_matches_straight_run();
     println!("ok - repartition_mid_run_matches_straight_run (4-way -> 2-way)");
+    fig8_fleet_rows_time_the_run_legs();
+    println!("ok - fig8_fleet_rows_time_the_run_legs");
     if !quick {
         repartition_mid_scenario_matches_digests();
         println!("ok - repartition_mid_scenario_matches_digests");
