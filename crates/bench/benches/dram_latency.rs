@@ -1,6 +1,6 @@
 //! Event-queue DRAM refresh throughput: host cost of the lazily-
-//! materialised refresh model vs the per-deadline-scan reference
-//! (`DramConfig::reference_model`).
+//! materialised refresh model (`firesim_uarch::Dram`) vs the
+//! per-deadline-scan oracle (`firesim_reference::RefDram`).
 //!
 //! Two access patterns bracket the design space:
 //!
@@ -12,7 +12,7 @@
 //!   unobserved, so both models do essentially the same work (ratio ~1;
 //!   this guards against the event model *regressing* the hot path).
 //!
-//! Both models produce bit-identical latencies, stats, and snapshots
+//! The two produce bit-identical latencies, stats, and snapshots
 //! (see `tests/dram_equiv.rs`); this benchmark only measures host cost.
 //!
 //! Output is a JSON object on stdout (after the human-readable lines).
@@ -27,6 +27,7 @@
 
 use std::time::Instant;
 
+use firesim_reference::RefDram;
 use firesim_uarch::{Dram, DramConfig};
 
 /// Splitmix-style generator, seed-stable across platforms.
@@ -63,30 +64,36 @@ fn stream(ops: usize, gap: u64, seed: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Runs one full stream through a fresh model, returning requests/sec.
-fn run_model(reference: bool, ops: &[(u64, u64)]) -> f64 {
-    let mut dram = Dram::new(DramConfig {
-        reference_model: reference,
-        ..DramConfig::default()
-    });
+/// Runs one full stream through `access`, returning requests/sec.
+fn run_model(mut access: impl FnMut(u64, u64) -> u64, ops: &[(u64, u64)]) -> f64 {
     let t0 = Instant::now();
     let mut acc = 0u64;
     for &(now, addr) in ops {
-        acc = acc.wrapping_add(dram.access(now, addr));
+        acc = acc.wrapping_add(access(now, addr));
     }
     std::hint::black_box(acc);
     ops.len() as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// Interleaved best-of-`reps` requests/sec for reference vs event model
-/// on one stream. Alternating bursts mean host drift hits both equally.
+/// Interleaved best-of-`reps` requests/sec for the oracle vs the event
+/// model on one stream, each run on a fresh instance. Alternating bursts
+/// mean host drift hits both equally.
 fn rates(ops: &[(u64, u64)], reps: usize) -> (f64, f64) {
-    run_model(true, ops); // warm-up
-    run_model(false, ops);
+    let cfg = DramConfig::default();
+    let reference = || {
+        let mut d = RefDram::new(cfg);
+        run_model(|now, addr| d.access(now, addr), ops)
+    };
+    let event = || {
+        let mut d = Dram::new(cfg);
+        run_model(|now, addr| d.access(now, addr), ops)
+    };
+    reference(); // warm-up
+    event();
     let mut best = [0f64; 2];
     for _ in 0..reps {
-        best[0] = best[0].max(run_model(true, ops));
-        best[1] = best[1].max(run_model(false, ops));
+        best[0] = best[0].max(reference());
+        best[1] = best[1].max(event());
     }
     (best[0], best[1])
 }

@@ -152,7 +152,7 @@ impl Dash {
                     ),
                 );
             }
-            let tokens: u64 = i.links.iter().map(|l| l.tokens).sum();
+            let tokens: u64 = i.links.iter().map(|l| l.in_flight_tokens).sum();
             push(
                 &mut out,
                 format!(

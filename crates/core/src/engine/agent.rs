@@ -77,8 +77,6 @@ pub struct AgentCtx<T> {
     inputs: Vec<TokenWindow<T>>,
     outputs: Vec<TokenWindow<T>>,
     stop: bool,
-    /// Bitmask of input ports masked by an injected link fault this window.
-    down_mask: u64,
 }
 
 impl<T> AgentCtx<T> {
@@ -105,7 +103,6 @@ impl<T> AgentCtx<T> {
             inputs,
             outputs: (0..num_outputs).map(|_| TokenWindow::new(window)).collect(),
             stop: false,
-            down_mask: 0,
         }
     }
 
@@ -113,11 +110,6 @@ impl<T> AgentCtx<T> {
     /// produced. Counterpart of [`AgentCtx::standalone`].
     pub fn into_outputs(self) -> Vec<TokenWindow<T>> {
         self.outputs
-    }
-
-    /// True when the agent called [`AgentCtx::request_stop`].
-    pub fn stop_requested(&self) -> bool {
-        self.stop
     }
 
     /// Target cycle at the start of this window.
@@ -195,14 +187,6 @@ impl<T> AgentCtx<T> {
     pub fn request_stop(&mut self) {
         self.stop = true;
     }
-
-    /// True when an injected target-side fault ([`FaultPlan::link_down`](crate::FaultPlan::link_down) /
-    /// [`FaultPlan::link_flaky`](crate::FaultPlan::link_flaky)) masked tokens on input `port` during this
-    /// window. Models with link-state awareness (e.g. a NIC reporting
-    /// carrier loss) can surface the outage; ports ≥ 64 are never reported.
-    pub fn input_link_down(&self, port: usize) -> bool {
-        port < 64 && self.down_mask & (1u64 << port) != 0
-    }
 }
 
 pub(super) struct AgentSlot<T> {
@@ -215,8 +199,6 @@ pub(super) struct AgentSlot<T> {
     /// Reused between rounds so `step_agent` never allocates once warm.
     pub(super) scratch_in: Vec<TokenWindow<T>>,
     pub(super) scratch_out: Vec<TokenWindow<T>>,
-    /// Caller-supplied relative host cost, for load-aware partitioning.
-    pub(super) weight: Option<u64>,
     /// Token/host-time accounting, updated only when metrics are enabled.
     /// The stepping worker owns the slot, so plain stores suffice.
     pub(super) profile: AgentProfile,
@@ -235,7 +217,6 @@ impl<T: Send + 'static> Engine<T> {
             outputs: (0..n_out).map(|_| None).collect(),
             scratch_in: Vec::with_capacity(n_in),
             scratch_out: Vec::with_capacity(n_out),
-            weight: None,
             profile: AgentProfile::default(),
         });
         id
@@ -248,17 +229,6 @@ impl<T: Send + 'static> Engine<T> {
     /// Panics if `id` does not belong to this engine.
     pub fn agent(&self, id: AgentId) -> &dyn SimAgent<Token = T> {
         self.agents[id.0].agent.as_ref()
-    }
-
-    /// Mutable access to a registered agent (e.g. to extract results after a
-    /// run, via a concrete-type handle kept by the caller or downcasting in
-    /// the agent's own API).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this engine.
-    pub fn agent_mut(&mut self, id: AgentId) -> &mut dyn SimAgent<Token = T> {
-        self.agents[id.0].agent.as_mut()
     }
 }
 
@@ -325,10 +295,9 @@ pub(super) fn step_agent<T: Send + 'static>(
             Ok(None) | Err(_) => return Err(closed_by_peer(slot.agent.name())),
         }
     }
-    let down_mask = match faults {
-        Some(faults) => faults.mask_inputs(slot.agent.name(), &mut inputs, now.as_u64(), window),
-        None => 0,
-    };
+    if let Some(faults) = faults {
+        faults.mask_inputs(slot.agent.name(), &mut inputs, now.as_u64(), window);
+    }
     if profiling {
         slot.profile.windows_in += inputs.len() as u64;
         slot.profile.tokens_in += inputs.iter().map(|w| w.occupancy() as u64).sum::<u64>();
@@ -343,7 +312,6 @@ pub(super) fn step_agent<T: Send + 'static>(
         inputs,
         outputs,
         stop: false,
-        down_mask,
     };
     let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(message) = inject_panic {

@@ -31,9 +31,8 @@
 //! extra workers on a saturated host only add context-switch overhead.
 //!
 //! The partition is *load-aware*: each agent's host cost is measured during
-//! the first chunk of rounds (or supplied up front via
-//! [`Engine::set_agent_weight`]) and agents are re-packed across workers
-//! with a greedy longest-processing-time heuristic at a deterministic chunk
+//! the first chunk of rounds and agents are re-packed across workers with a
+//! greedy longest-processing-time heuristic at a deterministic chunk
 //! boundary. A heavyweight RTL blade and a near-idle switch therefore no
 //! longer land on the same worker by round-robin accident. Because the
 //! token protocol alone fixes the simulation result, rebalancing never
@@ -72,7 +71,7 @@ mod tests;
 pub use agent::{AgentCtx, SimAgent};
 pub use boundary::{BoundaryInput, BoundaryOutput, RoundExchange};
 pub use checkpoint::{combined_digest, EngineCheckpoint};
-pub use schedule::{AbortHandle, ProgressProbe, RunSummary, StopHandle};
+pub use schedule::{AbortHandle, ProgressProbe, RunSummary};
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -120,8 +119,6 @@ pub struct Engine<T> {
     now: Cycle,
     host_threads: usize,
     oversubscribe: bool,
-    chunk_rounds: u64,
-    stop: Arc<AtomicBool>,
     /// Set by [`AbortHandle::abort`]; re-armed at run start.
     abort: Arc<AtomicBool>,
     abort_reason: Arc<parking_lot::Mutex<Option<String>>>,
@@ -156,8 +153,6 @@ impl<T: Send + 'static> Engine<T> {
             now: Cycle::ZERO,
             host_threads: 1,
             oversubscribe: false,
-            chunk_rounds: 16,
-            stop: Arc::new(AtomicBool::new(false)),
             abort: Arc::new(AtomicBool::new(false)),
             abort_reason: Arc::new(parking_lot::Mutex::new(None)),
             run_halt: Arc::new(AtomicBool::new(false)),

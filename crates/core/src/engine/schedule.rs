@@ -1,5 +1,5 @@
-//! Running rounds: worker configuration, stop/abort/progress handles, and
-//! the one worker loop that steps every agent once per window.
+//! Running rounds: worker configuration, abort/progress handles, and the
+//! one worker loop that steps every agent once per window.
 //!
 //! Every thread count runs the same loop ([`Run::worker`]). A worker owns
 //! its agents outright — a sole worker the engine's slots in place, each of
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::agent::{step_agent, AgentSlot};
-use super::{token_invariant, AgentId, Engine, RoundExchange};
+use super::{token_invariant, Engine, RoundExchange};
 use crate::error::{SimError, SimResult};
 use crate::fault::AgentFaults;
 use crate::metrics::{
@@ -27,31 +27,19 @@ use crate::metrics::{
 use crate::sync::{BarrierCancelled, EpochBarrier};
 use crate::time::Cycle;
 
-/// A handle that can stop a running simulation from outside (e.g. a
-/// harness timeout). Stops take effect at deterministic chunk boundaries.
-#[derive(Debug, Clone)]
-pub struct StopHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl StopHandle {
-    /// Requests the simulation stop.
-    pub fn stop(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// True if a stop has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
+/// Rounds between chunk boundaries, where workers fold their metrics,
+/// vote on ending a [`Engine::run_until_done`], and (once per run) are
+/// re-packed by measured cost.
+const CHUNK_ROUNDS: u64 = 16;
 
 /// A handle that *aborts* a running simulation from outside (watchdog,
-/// wall-clock deadline). Unlike [`StopHandle`] — which is a cooperative
-/// stop honoured at a chunk boundary and reported as success — an abort
-/// wakes workers blocked in channel waits and makes the run fail with
-/// [`SimError::Aborted`]. After an aborted run the engine's agent states
-/// may be torn mid-round; continue only via [`Engine::restore`].
+/// wall-clock deadline). Unlike an agent's
+/// [`AgentCtx::request_stop`](crate::AgentCtx::request_stop) — a
+/// cooperative stop honoured at a chunk boundary and reported as success
+/// — an abort wakes workers blocked in channel waits and makes the run
+/// fail with [`SimError::Aborted`]. After an aborted run the engine's
+/// agent states may be torn mid-round; continue only via
+/// [`Engine::restore`].
 #[derive(Debug, Clone)]
 pub struct AbortHandle {
     abort: Arc<AtomicBool>,
@@ -72,11 +60,6 @@ impl AbortHandle {
         }
         self.abort.store(true, Ordering::SeqCst);
         self.halt.store(true, Ordering::SeqCst);
-    }
-
-    /// True when an abort has been requested and not yet re-armed.
-    pub fn is_aborted(&self) -> bool {
-        self.abort.load(Ordering::SeqCst)
     }
 }
 
@@ -190,39 +173,6 @@ impl<T: Send + 'static> Engine<T> {
         self
     }
 
-    /// Sets how many rounds run between chunk boundaries, where workers
-    /// check for stops and, in [`Engine::run_until_done`], vote on ending
-    /// the run. Larger chunks amortise synchronisation; stops are honoured
-    /// at chunk boundaries only (deterministically).
-    pub fn set_chunk_rounds(&mut self, rounds: u64) -> &mut Self {
-        self.chunk_rounds = rounds.max(1);
-        self
-    }
-
-    /// Supplies a relative host-cost weight for an agent, used by the
-    /// load-aware partitioner in multi-worker runs.
-    ///
-    /// Weighted agents skip the first-chunk cost measurement: the caller's
-    /// number wins. Unweighted agents are measured. Weights are relative —
-    /// only ratios matter — and a weight of zero is treated as one.
-    /// Weights never affect simulated behaviour, only how agents are
-    /// packed onto host threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this engine.
-    pub fn set_agent_weight(&mut self, id: AgentId, weight: u64) -> &mut Self {
-        self.agents[id.0].weight = Some(weight.max(1));
-        self
-    }
-
-    /// A handle for stopping the simulation from another thread.
-    pub fn stop_handle(&self) -> StopHandle {
-        StopHandle {
-            flag: Arc::clone(&self.stop),
-        }
-    }
-
     /// A handle for *aborting* the current run from another thread
     /// (watchdogs, deadlines). See [`AbortHandle`] for semantics.
     pub fn abort_handle(&self) -> AbortHandle {
@@ -281,9 +231,9 @@ impl<T: Send + 'static> Engine<T> {
 
     /// Runs until every agent reports
     /// [`SimAgent::done`](crate::SimAgent::done), an agent calls
-    /// [`AgentCtx::request_stop`](crate::AgentCtx::request_stop), a
-    /// [`StopHandle`] fires, or `max_cycles` elapse — whichever comes first.
-    /// Stop conditions are evaluated at deterministic chunk boundaries.
+    /// [`AgentCtx::request_stop`](crate::AgentCtx::request_stop), or
+    /// `max_cycles` elapse — whichever comes first. Stop conditions are
+    /// evaluated at deterministic chunk boundaries.
     ///
     /// # Errors
     ///
@@ -306,7 +256,6 @@ impl<T: Send + 'static> Engine<T> {
                  (Engine::run_for_exchanging)",
             ));
         }
-        self.stop.store(false, Ordering::Release);
         self.abort.store(false, Ordering::Release);
         self.run_halt.store(false, Ordering::Release);
         *self.abort_reason.lock() = None;
@@ -369,11 +318,11 @@ impl<T: Send + 'static> Engine<T> {
     /// Steps every agent through `rounds` rounds on `threads` workers and
     /// returns the rounds completed (fewer when a stop ends the run early).
     ///
-    /// Several workers start with the agents packed by their caller weights
-    /// (default 1, i.e. round-robin-ish). A run long enough to profit
-    /// measures each agent's host cost over the first chunk, re-packs the
-    /// agents once by that cost, and runs the remaining rounds on a fresh
-    /// set of workers. Worker 0 runs `exchange` after every round.
+    /// Several workers start with the agents dealt out evenly. A run long
+    /// enough to profit measures each agent's host cost over the first
+    /// chunk, re-packs the agents once by that cost, and runs the
+    /// remaining rounds on a fresh set of workers. Worker 0 runs
+    /// `exchange` after every round.
     fn run_workers(
         &mut self,
         rounds: u64,
@@ -385,7 +334,6 @@ impl<T: Send + 'static> Engine<T> {
         let run = Run {
             window: self.window,
             start: self.now,
-            chunk: self.chunk_rounds,
             threads,
             stoppable,
             faults,
@@ -394,7 +342,7 @@ impl<T: Send + 'static> Engine<T> {
                 barrier_ns: m.counter("engine/barrier_wait_ns"),
                 chunk_ns: m.histogram("engine/chunk_host_ns"),
             }),
-            stop: &self.stop,
+            stop: AtomicBool::new(false),
             halt: &self.run_halt,
             progress: self.progress.as_deref(),
             metrics: self.metrics.as_deref(),
@@ -409,25 +357,24 @@ impl<T: Send + 'static> Engine<T> {
         let mut assignment = Vec::new();
         let mut from = 0;
         if threads > 1 {
-            let weights: Vec<Option<u64>> = self.agents.iter().map(|s| s.weight).collect();
-            let mut costs: Vec<u64> = weights.iter().map(|w| w.unwrap_or(1)).collect();
+            let mut costs = vec![1; self.agents.len()];
             assignment = lpt_partition(&costs, threads);
-            if rounds > run.chunk && self.agents.len() > threads {
+            if rounds > CHUNK_ROUNDS && self.agents.len() > threads {
                 let (done, measured) = run.phase(
                     &mut self.agents,
                     &assignment,
                     0,
-                    run.chunk,
+                    CHUNK_ROUNDS,
                     true,
                     exchange
                         .as_mut()
                         .map(|e| &mut **e as &mut dyn RoundExchange),
                 )?;
-                if stoppable && (self.stop.load(Ordering::Acquire) || self.all_done()) {
+                if stoppable && (run.stop.load(Ordering::Acquire) || self.all_done()) {
                     return Ok(done);
                 }
                 for (i, ns) in measured {
-                    costs[i] = weights[i].unwrap_or(ns);
+                    costs[i] = ns;
                 }
                 assignment = lpt_partition(&costs, threads);
                 from = done;
@@ -449,12 +396,12 @@ struct Run<'a> {
     window: u32,
     /// Target cycle of round 0.
     start: Cycle,
-    chunk: u64,
     threads: usize,
     stoppable: bool,
     faults: &'a [Option<AgentFaults>],
     ids: Option<EngineMetricIds>,
-    stop: &'a AtomicBool,
+    /// Set by an agent's [`AgentCtx::request_stop`](crate::AgentCtx::request_stop).
+    stop: AtomicBool,
     /// Set on error, panic, or abort; sleeping peers notice within
     /// ~500µs. Shared with [`AbortHandle`]s via the engine.
     halt: &'a AtomicBool,
@@ -542,12 +489,11 @@ impl Run<'_> {
         let Run {
             window,
             start,
-            chunk,
             threads,
             stoppable,
             faults,
             ids,
-            stop,
+            ref stop,
             halt,
             progress,
             metrics,
@@ -568,7 +514,7 @@ impl Run<'_> {
         let mut now = start + Cycle::new(from * u64::from(window));
         let mut round = from;
         'chunks: while round < to && !halt.load(Ordering::Acquire) {
-            let chunk_end = (round + chunk).min(to);
+            let chunk_end = (round + CHUNK_ROUNDS).min(to);
             let chunk_t0 = need_clock.then(Instant::now);
             let mut t_prev = chunk_t0;
             while round < chunk_end {

@@ -647,17 +647,14 @@ impl AgentFaults {
 
     /// Applies target-side link faults to the received input windows for
     /// the window starting at `now`, and accumulates watched-link counts
-    /// into the recovery timeline. Returns a bitmask of input ports that
-    /// had at least one cycle masked (ports ≥ 64 are applied but not
-    /// reported in the mask).
+    /// into the recovery timeline.
     pub(crate) fn mask_inputs<T>(
         &self,
         agent: &str,
         inputs: &mut [TokenWindow<T>],
         now: u64,
         window: u32,
-    ) -> u64 {
-        let mut mask = 0u64;
+    ) {
         let win_end = now + u64::from(window);
         let watching = self.timeline.is_some() && !self.watches.is_empty();
         // Per-watch removal tallies for this window: [dropped, masked].
@@ -700,9 +697,6 @@ impl AgentFaults {
                 }
                 keep
             });
-            if port < 64 {
-                mask |= 1 << port;
-            }
             if cut > 0 && watching {
                 // A full link-down is "masked" (total loss); flaky and
                 // degraded removals are "dropped" (partial loss).
@@ -757,7 +751,6 @@ impl AgentFaults {
                 }
             }
         }
-        mask
     }
 }
 
@@ -836,8 +829,7 @@ mod tests {
             w.push(off, u64::from(off)).unwrap();
         }
         let mut inputs = vec![w];
-        let mask = af.mask_inputs("a", &mut inputs, 8, 8);
-        assert_eq!(mask, 1);
+        af.mask_inputs("a", &mut inputs, 8, 8);
         let alive: Vec<u32> = inputs[0].iter().map(|(o, _)| o).collect();
         // Cycles 10,11,12,13 (offsets 2..6) are dead.
         assert_eq!(alive, vec![0, 1, 6, 7]);

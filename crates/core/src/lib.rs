@@ -96,7 +96,6 @@ pub use channel::{link, LinkReceiver, LinkSender};
 pub use engine::{
     combined_digest, AbortHandle, AgentCtx, AgentId, BoundaryInput, BoundaryOutput, Engine,
     EngineCheckpoint, LinkOccupancy, ProgressProbe, RoundExchange, RunSummary, SimAgent,
-    StopHandle,
 };
 pub use error::{SimError, SimResult};
 pub use fault::{FaultKind, FaultPlan, FaultRecord, FaultTarget, RecoveryTimeline, TimelinePoint};

@@ -7,7 +7,7 @@
 use firesim_core::{AgentCtx, Cycle, Engine, FaultPlan, SimAgent, SimError};
 
 const WINDOW: u32 = 4;
-const CHUNK_ROUNDS: u64 = 4;
+/// Four of the engine's 16-round chunks.
 const TOTAL_ROUNDS: u64 = 64;
 
 struct Relay;
@@ -37,8 +37,7 @@ fn build(threads: usize) -> Engine<u64> {
     let mut engine: Engine<u64> = Engine::new(WINDOW);
     engine
         .set_host_threads(threads)
-        .set_host_oversubscribe(true)
-        .set_chunk_rounds(CHUNK_ROUNDS);
+        .set_host_oversubscribe(true);
     let ids: Vec<_> = (0..10).map(|_| engine.add_agent(Box::new(Relay))).collect();
     for i in 0..ids.len() {
         engine

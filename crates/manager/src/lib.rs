@@ -46,7 +46,7 @@ pub use partition::{
     maybe_worker, run_partitioned, BuildFn, PartitionConfig, PartitionPlan, PartitionedRun,
     TransportChoice,
 };
-pub use report::{AgentReport, HistogramSummary, LinkReport, RunReport};
+pub use report::{AgentReport, HistogramSummary, RunReport};
 pub use results::{ExperimentRecord, ResultStore};
 pub use simulation::{ShardBoundaries, SimConfig, Simulation};
 pub use stream::{

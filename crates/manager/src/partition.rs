@@ -422,9 +422,11 @@ pub struct PartitionConfig {
     /// equal the plan's worker count.
     pub plan: Option<PartitionPlan>,
     /// Cycle at which every worker checkpoints mid-run (rounded up to a
-    /// window boundary by the engine). Workers rendezvous on the
-    /// checkpoint files before resuming, so the merged checkpoint is a
-    /// consistent cut of the whole simulation.
+    /// window boundary by the engine). The merged checkpoint is a
+    /// consistent cut of the whole simulation without any rendezvous:
+    /// the lockstep round exchange leaves every boundary input holding
+    /// exactly its seeded windows when a worker checkpoints, and no peer
+    /// can send it anything more until its next exchange.
     pub checkpoint_at: Option<Cycle>,
     /// Where the parent writes the merged `FSCKPT01` checkpoint taken at
     /// `checkpoint_at` — the input to a later repartitioned continuation.

@@ -46,20 +46,6 @@ pub struct AgentReport {
     pub counters: Vec<(String, u64)>,
 }
 
-/// One link's occupancy at a quiescent window boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkReport {
-    /// Receiving agent.
-    pub agent: String,
-    /// Receiving input port.
-    pub port: usize,
-    /// Configured link latency in cycles.
-    pub latency: u64,
-    /// Tokens in flight. Equals `latency` between runs — the paper's
-    /// token-transport invariant.
-    pub in_flight_tokens: u64,
-}
-
 /// Summary statistics of one aggregated histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSummary {
@@ -93,8 +79,10 @@ pub struct RunReport {
     pub token_invariant_ok: bool,
     /// Per-agent profiles, in registration order.
     pub agents: Vec<AgentReport>,
-    /// Per-link occupancies, in registration order.
-    pub links: Vec<LinkReport>,
+    /// Per-link occupancies, in registration order. Each holds
+    /// `in_flight_tokens == latency` between runs — the paper's
+    /// token-transport invariant.
+    pub links: Vec<LinkOccupancy>,
     /// Aggregated registry counters, in registration order.
     pub counters: Vec<(String, u64)>,
     /// Aggregated registry histograms, summarised.
@@ -149,24 +137,6 @@ impl RunReport {
             })
             .collect();
 
-        let links = engine
-            .link_occupancies()
-            .into_iter()
-            .map(
-                |LinkOccupancy {
-                     agent,
-                     port,
-                     latency,
-                     in_flight_tokens,
-                 }| LinkReport {
-                    agent,
-                    port,
-                    latency,
-                    in_flight_tokens,
-                },
-            )
-            .collect();
-
         let (counters, histograms) = match engine.metrics() {
             Some(registry) => {
                 let snap = registry.snapshot();
@@ -195,7 +165,7 @@ impl RunReport {
             sim_rate_mhz,
             token_invariant_ok: engine.verify_token_invariant().is_ok(),
             agents,
-            links,
+            links: engine.link_occupancies(),
             counters,
             histograms,
             timeline: engine.fault_timeline(),
@@ -243,7 +213,7 @@ impl RunReport {
         let secs = wall_ns as f64 / 1e9;
         let mut agents: Vec<AgentReport> = shards.iter().flat_map(|s| s.agents.clone()).collect();
         agents.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut links: Vec<LinkReport> = shards.iter().flat_map(|s| s.links.clone()).collect();
+        let mut links: Vec<LinkOccupancy> = shards.iter().flat_map(|s| s.links.clone()).collect();
         links.sort_by(|a, b| (&a.agent, a.port).cmp(&(&b.agent, b.port)));
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         for (name, v) in shards.iter().flat_map(|s| s.counters.iter()) {
@@ -353,7 +323,7 @@ impl RunReport {
             }
             let _ = writeln!(out);
         }
-        let mut links: Vec<&LinkReport> = self.links.iter().collect();
+        let mut links: Vec<&LinkOccupancy> = self.links.iter().collect();
         links.sort_by(|a, b| (&a.agent, a.port).cmp(&(&b.agent, b.port)));
         for l in links {
             let _ = writeln!(
@@ -685,7 +655,7 @@ impl RunReport {
             .iter()
             .map(|l| {
                 let l = obj_of(l)?;
-                Ok(LinkReport {
+                Ok(LinkOccupancy {
                     agent: get_str(&l, "agent")?,
                     port: get_u64(&l, "port")? as usize,
                     latency: get_u64(&l, "latency")?,

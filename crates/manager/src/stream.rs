@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use serde_json::Value;
 
-use firesim_core::{Cycle, IntervalProbe, SimError, SimResult};
+use firesim_core::{AgentIntervalSample, Cycle, IntervalProbe, LinkOccupancy, SimError, SimResult};
 
 use crate::simulation::Simulation;
 
@@ -139,49 +139,6 @@ pub struct RunStartRecord {
     pub transport: Option<String>,
 }
 
-/// One agent's activity during an interval.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AgentSample {
-    /// Agent name.
-    pub name: String,
-    /// Target cycles stepped this interval.
-    pub d_cycles: u64,
-    /// Valid tokens consumed this interval.
-    pub d_tokens_in: u64,
-    /// Valid tokens produced this interval.
-    pub d_tokens_out: u64,
-    /// Instructions retired this interval (0 for non-CPU agents); with
-    /// the record's `wall_ns` this is the agent's live MIPS.
-    pub d_retired: u64,
-    /// Host nanoseconds inside the agent this interval. Host-dependent:
-    /// zeroed by [`StreamRecord::normalize`].
-    pub host_ns: u64,
-    /// Host decode-cache hit rate over the interval, in permille (0 when
-    /// the agent has no decode cache or saw no fetches). Describes the
-    /// simulator, not the target, but the value itself is deterministic.
-    pub icache_hit_permille: u64,
-    /// Retired instructions per host microsecond (live MIPS) over the
-    /// interval. Host-dependent: zeroed by [`StreamRecord::normalize`].
-    pub host_mips: u64,
-}
-
-/// One connected input link's occupancy at the interval boundary.
-///
-/// At a quiescent boundary every latency-*N* link holds exactly *N*
-/// tokens in flight (the paper's token-transport invariant), so a
-/// mismatch between `tokens` and `latency` is itself a red flag.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LinkSample {
-    /// Receiving agent.
-    pub agent: String,
-    /// Receiving input port.
-    pub port: u64,
-    /// Modeled link latency in cycles.
-    pub latency: u64,
-    /// Tokens in flight (cycles of buffered simulated time).
-    pub tokens: u64,
-}
-
 /// One switch's counters at the interval boundary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SwitchSample {
@@ -209,10 +166,15 @@ pub struct IntervalRecord {
     /// the live sim-rate. Host-dependent: zeroed by
     /// [`StreamRecord::normalize`].
     pub wall_ns: u64,
-    /// Per-agent deltas, in engine registration order.
-    pub agents: Vec<AgentSample>,
-    /// Link occupancies, in engine registration order.
-    pub links: Vec<LinkSample>,
+    /// Per-agent deltas, in engine registration order. `host_ns` and
+    /// `host_mips` are host-dependent: zeroed by
+    /// [`StreamRecord::normalize`].
+    pub agents: Vec<AgentIntervalSample>,
+    /// Link occupancies at the interval boundary, in engine registration
+    /// order, sent as `tokens`. Every latency-*N* link holds exactly *N*
+    /// tokens here (the paper's token-transport invariant), so a mismatch
+    /// is itself a red flag.
+    pub links: Vec<LinkOccupancy>,
     /// Switch counters, in topology order.
     pub switches: Vec<SwitchSample>,
 }
@@ -363,7 +325,7 @@ impl StreamRecord {
                                     ("agent", Value::from(&l.agent)),
                                     ("port", Value::from(l.port)),
                                     ("latency", Value::from(l.latency)),
-                                    ("tokens", Value::from(l.tokens)),
+                                    ("tokens", Value::from(l.in_flight_tokens)),
                                 ])
                             })
                             .collect(),
@@ -439,7 +401,7 @@ impl StreamRecord {
             "interval" => {
                 let mut agents = Vec::new();
                 for a in get_arr(&v, "agents")? {
-                    agents.push(AgentSample {
+                    agents.push(AgentIntervalSample {
                         name: get_str(a, "name")?,
                         d_cycles: get_u64(a, "d_cycles")?,
                         d_tokens_in: get_u64(a, "d_tokens_in")?,
@@ -452,11 +414,11 @@ impl StreamRecord {
                 }
                 let mut links = Vec::new();
                 for l in get_arr(&v, "links")? {
-                    links.push(LinkSample {
+                    links.push(LinkOccupancy {
                         agent: get_str(l, "agent")?,
-                        port: get_u64(l, "port")?,
+                        port: get_u64(l, "port")? as usize,
                         latency: get_u64(l, "latency")?,
-                        tokens: get_u64(l, "tokens")?,
+                        in_flight_tokens: get_u64(l, "tokens")?,
                     });
                 }
                 let mut switches = Vec::new();
@@ -721,16 +683,7 @@ impl StreamSession {
         let seq = self.seq;
         let engine = sim.engine_mut();
         let snap = engine.sample_interval(&mut self.probe);
-        let links = engine
-            .link_occupancies()
-            .into_iter()
-            .map(|l| LinkSample {
-                agent: l.agent,
-                port: l.port as u64,
-                latency: l.latency,
-                tokens: l.in_flight_tokens,
-            })
-            .collect();
+        let links = engine.link_occupancies();
         let mut switches = Vec::new();
         for (i, (name, stats)) in sim.switch_stats().iter().enumerate() {
             let s = stats.lock();
@@ -753,20 +706,7 @@ impl StreamSession {
             cycle: snap.cycle,
             d_cycles: snap.d_cycles,
             wall_ns: leg_wall.as_nanos() as u64,
-            agents: snap
-                .agents
-                .into_iter()
-                .map(|a| AgentSample {
-                    name: a.name,
-                    d_cycles: a.d_cycles,
-                    d_tokens_in: a.d_tokens_in,
-                    d_tokens_out: a.d_tokens_out,
-                    d_retired: a.d_retired,
-                    host_ns: a.host_ns,
-                    icache_hit_permille: a.icache_hit_permille,
-                    host_mips: a.host_mips,
-                })
-                .collect(),
+            agents: snap.agents,
             links,
             switches,
         }))?;
@@ -869,7 +809,7 @@ mod tests {
                 cycle: 100_000,
                 d_cycles: 100_032,
                 wall_ns: 42,
-                agents: vec![AgentSample {
+                agents: vec![AgentIntervalSample {
                     name: "pinger".into(),
                     d_cycles: 100_032,
                     d_tokens_in: 7,
@@ -879,11 +819,11 @@ mod tests {
                     icache_hit_permille: 930,
                     host_mips: 44,
                 }],
-                links: vec![LinkSample {
+                links: vec![LinkOccupancy {
                     agent: "tor0".into(),
                     port: 0,
                     latency: 6_400,
-                    tokens: 6_400,
+                    in_flight_tokens: 6_400,
                 }],
                 switches: vec![SwitchSample {
                     name: "tor0".into(),

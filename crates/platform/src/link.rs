@@ -49,8 +49,6 @@ use firesim_core::snapshot::Snapshot;
 use firesim_core::{SimError, SimResult, TokenWindow};
 use firesim_net::codec::{encode_token_frame, TokenDeframer};
 
-use crate::transport::TransportKind;
-
 /// How long a wait on the peer spins before it starts yielding the core.
 /// Measured on a 2-vCPU host: spinning 0, 50 and 200 µs gave shm window
 /// round trips of ~13, ~11 and ~11 µs (EXPERIMENTS, PR 38).
@@ -130,10 +128,6 @@ impl Backoff {
 /// assert!(b.recv_window(&halt).unwrap().is_none());
 /// ```
 pub trait TokenTransport<T: Snapshot>: Send {
-    /// Which physical transport this backend models, for rate accounting
-    /// against [`Transport::sim_rate_bound_hz`](crate::Transport::sim_rate_bound_hz).
-    fn kind(&self) -> TransportKind;
-
     /// Writes as much of `bytes` as the peer has room for, without
     /// blocking, and returns how many it took (0 when the peer is full).
     ///
@@ -353,10 +347,6 @@ impl<T: Snapshot> ChannelTransport<T> {
 }
 
 impl<T: Snapshot + Send> TokenTransport<T> for ChannelTransport<T> {
-    fn kind(&self) -> TransportKind {
-        TransportKind::SharedMemory
-    }
-
     fn try_send(&mut self, bytes: &[u8]) -> SimResult<usize> {
         // An unbounded channel always has room.
         self.tx
@@ -584,7 +574,7 @@ impl ShmRing {
 /// are the same round frames a socket carries; the ring is a byte stream,
 /// not a window queue, which keeps the wire format identical across
 /// backends. A ring has no end-of-stream of its own; instead each end
-/// holds the lock of the ring it produces (see [`ShmRing`]), and a wait
+/// holds the lock of the ring it produces (see `ShmRing`), and a wait
 /// that has reached its sleep phase checks the peer's. Once that lock is
 /// free the peer counts as closed: [`recv_round`](TokenTransport::recv_round)
 /// returns `Ok(false)` once it has read the rest of the ring, and a send is
@@ -642,10 +632,6 @@ impl<T: Snapshot> ShmTransport<T> {
 }
 
 impl<T: Snapshot + Send> TokenTransport<T> for ShmTransport<T> {
-    fn kind(&self) -> TransportKind {
-        TransportKind::SharedMemory
-    }
-
     fn try_send(&mut self, bytes: &[u8]) -> SimResult<usize> {
         if self.state.closed {
             return Err(SimError::protocol(
@@ -877,10 +863,6 @@ impl<T: Snapshot> SocketTransport<T> {
 }
 
 impl<T: Snapshot + Send> TokenTransport<T> for SocketTransport<T> {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Tcp
-    }
-
     fn try_send(&mut self, bytes: &[u8]) -> SimResult<usize> {
         match self.stream.write(bytes) {
             Ok(n) => Ok(n),

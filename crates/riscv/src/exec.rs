@@ -527,7 +527,7 @@ impl Cpu {
     ///
     /// Semantics are identical to calling
     /// [`step_cached`](Self::step_cached) `max_insts` times and stopping
-    /// at the first non-`Retired` outcome (see [`hot_run`](Self::hot_run)
+    /// at the first non-`Retired` outcome (see `hot_run`
     /// for why the elided per-instruction work is unobservable). Only the
     /// per-step outcome *reporting* is dropped, which is what makes this
     /// the high-throughput entry point for ISA-level measurement: the

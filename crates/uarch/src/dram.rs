@@ -7,24 +7,20 @@
 //! refresh. Latencies are expressed in CPU cycles at the target clock, so
 //! callers simply add the returned latency to their current cycle.
 //!
-//! # Event-queue vs per-deadline reference
+//! # Refresh as lazily materialised events
 //!
-//! Refresh is the only periodic behaviour in the model, and it admits two
-//! implementations that must agree bit-for-bit (DESIGN §18):
+//! Refresh is the only periodic behaviour in the model. Its deadlines are
+//! treated as events that are materialised only when they matter:
+//! [`Dram::advance_to`] moves a horizon counter in O(1), and a bank's
+//! missed refreshes are collapsed into a closed form the next time that
+//! bank is touched. Idle banks are never visited at all.
 //!
-//! * the **reference model** ([`DramConfig::reference_model`]` = true`)
-//!   eagerly walks every elapsed refresh deadline and applies it to every
-//!   bank — O(deadlines × banks) per time advance, trivially correct;
-//! * the **event-queue model** (the default) treats refresh deadlines as
-//!   lazily-materialised events: [`Dram::advance_to`] only moves a
-//!   horizon counter in O(1), and a bank's missed refreshes are collapsed
-//!   into a closed form the next time that bank is touched. Idle banks
-//!   are never visited at all.
-//!
-//! Both serialise the *materialised* state, so snapshots are identical
-//! regardless of model (and cross-restorable); `tests/dram_equiv.rs`
-//! differential-tests the pair the same way `TimingConfig::
-//! reference_timing` is tested.
+//! The result must equal, bit for bit, walking every elapsed deadline into
+//! every bank (DESIGN §18). That per-deadline model lives outside the
+//! product crates, as the test oracle `firesim_reference::RefDram`;
+//! snapshots serialise the *materialised* state, so the two produce the
+//! same bytes and restore each other's. `tests/dram_equiv.rs`
+//! differential-tests the pair.
 
 /// DDR3-like timing parameters (in CPU cycles at the target clock).
 ///
@@ -55,11 +51,6 @@ pub struct DramConfig {
     pub t_refi: u64,
     /// Refresh cycle time: how long each refresh keeps the banks busy.
     pub t_rfc: u64,
-    /// Use the retained per-deadline-scan reference implementation
-    /// instead of the event-queue one. Bit-identical by construction;
-    /// kept for differential testing (like `TimingConfig::
-    /// reference_timing`).
-    pub reference_model: bool,
 }
 
 impl Default for DramConfig {
@@ -74,7 +65,6 @@ impl Default for DramConfig {
             t_controller: 20,
             t_refi: 24_960,
             t_rfc: 832,
-            reference_model: false,
         }
     }
 }
@@ -129,17 +119,16 @@ struct Bank {
     /// bank (0 if none). Monotone, and always ≤ `ready_at`; used to
     /// attribute request stall cycles to refresh.
     refresh_ready: u64,
-    /// Number of refresh deadlines already applied to this bank. The
-    /// reference model keeps every bank in lockstep with the horizon;
-    /// the event-queue model lets banks lag and catches them up lazily.
+    /// Number of refresh deadlines already applied to this bank. Banks
+    /// lag the horizon and are caught up lazily.
     refreshed_through: u64,
 }
 
 impl Bank {
     /// The bank's state after catching up to `due` refresh deadlines
     /// (deadline *k* falls at `k * t_refi`). Pure: this is the
-    /// closed-form collapse of the reference model's one-deadline-at-a-
-    /// time recurrence `r_k = max(r_{k-1}, d_k) + t_rfc`, whose maximum
+    /// closed-form collapse of the one-deadline-at-a-time recurrence
+    /// `r_k = max(r_{k-1}, d_k) + t_rfc`, whose maximum
     /// over the elapsed deadlines is reached at one of the endpoints
     /// because the deadlines are linear in `k`.
     fn refreshed(&self, due: u64, t_refi: u64, t_rfc: u64) -> Bank {
@@ -180,8 +169,7 @@ pub struct Dram {
     stats: DramStats,
     /// Highest cycle the model has observed (via `access` or
     /// `advance_to`): the refresh horizon. Deadlines at or below it are
-    /// committed — eagerly in the reference model, lazily per bank in
-    /// the event-queue model.
+    /// committed, lazily per bank.
     horizon: u64,
 }
 
@@ -225,43 +213,16 @@ impl Dram {
         cycle.checked_div(self.config.t_refi).unwrap_or(0)
     }
 
-    /// Moves the refresh horizon forward to `cycle` (never backwards).
-    ///
-    /// Event-queue model: O(1) — banks are caught up lazily when next
-    /// touched. Reference model: walks every newly elapsed deadline and
-    /// applies it to every bank.
-    #[inline]
-    fn note_time(&mut self, cycle: u64) {
-        if cycle <= self.horizon {
-            return;
-        }
-        self.horizon = cycle;
-        if self.config.t_refi == 0 {
-            return;
-        }
-        let due = self.due(cycle);
-        self.stats.refreshes = due;
-        if self.config.reference_model {
-            // One deadline at a time, every bank: the retained reference.
-            let (t_refi, t_rfc) = (self.config.t_refi, self.config.t_rfc);
-            let applied = self.banks[0].refreshed_through;
-            for k in applied..due {
-                let deadline = (k + 1) * t_refi;
-                for bank in &mut self.banks {
-                    bank.ready_at = bank.ready_at.max(deadline) + t_rfc;
-                    bank.refresh_ready = bank.ready_at;
-                    bank.open_row = None;
-                    bank.refreshed_through = k + 1;
-                }
-            }
-        }
-    }
-
     /// Advances the model's notion of time without issuing a request, so
-    /// refresh bookkeeping stays current across idle spans. O(1) in the
-    /// event-queue model no matter how far `cycle` jumps.
+    /// refresh bookkeeping stays current across idle spans. O(1) no
+    /// matter how far `cycle` jumps: banks are caught up lazily when next
+    /// touched. Never moves backwards.
+    #[inline]
     pub fn advance_to(&mut self, cycle: u64) {
-        self.note_time(cycle);
+        if cycle > self.horizon {
+            self.horizon = cycle;
+            self.stats.refreshes = self.due(cycle);
+        }
     }
 
     #[inline]
@@ -284,17 +245,14 @@ impl Dram {
     /// landing inside a tRFC busy window waits it out (counted in
     /// [`DramStats::refresh_stall_cycles`]).
     pub fn access(&mut self, now: u64, addr: u64) -> u64 {
-        self.note_time(now);
+        self.advance_to(now);
         let (bank_idx, row) = self.map(addr);
         let c = self.config;
-        if c.t_refi != 0 && !c.reference_model {
-            let due = self.horizon / c.t_refi;
-            let bank = &mut self.banks[bank_idx];
-            if bank.refreshed_through < due {
-                *bank = bank.refreshed(due, c.t_refi, c.t_rfc);
-            }
-        }
+        let due = self.due(self.horizon);
         let bank = &mut self.banks[bank_idx];
+        if bank.refreshed_through < due {
+            *bank = bank.refreshed(due, c.t_refi, c.t_rfc);
+        }
         self.stats.refresh_stall_cycles += bank.refresh_ready.saturating_sub(now);
         let start = now.max(bank.ready_at);
         let (outcome, array_latency) = match bank.open_row {
@@ -343,9 +301,8 @@ impl firesim_core::snapshot::Snapshot for DramStats {
 
 impl firesim_core::snapshot::Checkpoint for Dram {
     /// Serialises the *materialised* state — every bank caught up to the
-    /// refresh horizon — so the bytes are independent of which model
-    /// produced them. Event-queue and reference snapshots are
-    /// interchangeable.
+    /// refresh horizon — so the bytes do not depend on which banks were
+    /// touched lately, and equal those of the per-deadline oracle.
     fn save_state(
         &self,
         w: &mut firesim_core::snapshot::SnapshotWriter,
@@ -397,16 +354,9 @@ impl firesim_core::snapshot::Checkpoint for Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firesim_core::snapshot::{Checkpoint, SnapshotReader, SnapshotWriter};
 
     fn cfg() -> DramConfig {
         DramConfig::no_refresh()
-    }
-
-    fn snap(d: &Dram) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        d.save_state(&mut w).unwrap();
-        w.into_bytes()
     }
 
     #[test]
@@ -495,56 +445,12 @@ mod tests {
     #[test]
     fn advance_to_commits_refreshes_without_requests() {
         let c = DramConfig::default();
-        for reference in [false, true] {
-            let mut d = Dram::new(DramConfig {
-                reference_model: reference,
-                ..c
-            });
-            d.advance_to(10 * c.t_refi + 5);
-            assert_eq!(d.stats().refreshes, 10);
-            // Moving backwards is a no-op.
-            d.advance_to(c.t_refi);
-            assert_eq!(d.stats().refreshes, 10);
-        }
-    }
-
-    #[test]
-    fn event_and_reference_snapshots_are_identical() {
-        let mut ev = Dram::new(DramConfig::default());
-        let mut rf = Dram::new(DramConfig {
-            reference_model: true,
-            ..DramConfig::default()
-        });
-        let c = DramConfig::default();
-        // Interleave accesses, long idle jumps, and time-only advances.
-        let nows = [0, 100, c.t_refi + 3, 4 * c.t_refi, 4 * c.t_refi + 77];
-        for (i, &now) in nows.iter().enumerate() {
-            let addr = (i as u64) * 8 * 64 + 64;
-            assert_eq!(ev.access(now, addr), rf.access(now, addr), "access {i}");
-        }
-        ev.advance_to(9 * c.t_refi + 1);
-        rf.advance_to(9 * c.t_refi + 1);
-        assert_eq!(ev.stats(), rf.stats());
-        assert_eq!(snap(&ev), snap(&rf));
-    }
-
-    #[test]
-    fn snapshots_cross_restore_between_models() {
-        let c = DramConfig::default();
-        let mut ev = Dram::new(c);
-        ev.access(0, 0);
-        ev.access(c.t_refi * 3 + 9, 128);
-        ev.advance_to(c.t_refi * 5);
-        let bytes = snap(&ev);
-        let mut rf = Dram::new(DramConfig {
-            reference_model: true,
-            ..c
-        });
-        rf.restore_state(&mut SnapshotReader::new(&bytes)).unwrap();
-        // Continue both identically.
-        let now = c.t_refi * 6 + 13;
-        assert_eq!(ev.access(now, 64), rf.access(now, 64));
-        assert_eq!(snap(&ev), snap(&rf));
+        let mut d = Dram::new(c);
+        d.advance_to(10 * c.t_refi + 5);
+        assert_eq!(d.stats().refreshes, 10);
+        // Moving backwards is a no-op.
+        d.advance_to(c.t_refi);
+        assert_eq!(d.stats().refreshes, 10);
     }
 
     #[test]

@@ -2,19 +2,25 @@
 //!
 //! The event-queue model (lazily-materialised refresh deadlines, O(1)
 //! `advance_to`, idle banks never visited) is a host-side optimisation
-//! only: it must be *bit-identical* to the retained per-deadline-scan
-//! reference (`DramConfig::reference_model`) — same latencies, same
-//! statistics, same snapshot bytes — the same contract
-//! `tests/timing_equiv.rs` enforces for the timing schedules. The
-//! blade-level tests then demand that a full RTL cluster's checkpoint
-//! is byte-identical across the two DRAM models, worker counts, and
-//! decode-cache settings.
+//! only: it must be *bit-identical* to the per-deadline oracle
+//! `firesim_reference::RefDram` — same latencies, same statistics, same
+//! snapshot bytes, and snapshots that restore into either model — the
+//! same contract `tests/timing_equiv.rs` enforces for the timing
+//! schedules. A property test draws arbitrary sequences of requests,
+//! time advances and save/restore round trips; since `Dram` is a pure
+//! function of that sequence, this covers every context a blade puts it
+//! in. The blade-level tests then demand that a full RTL cluster's
+//! checkpoint is byte-identical across worker counts and decode-cache
+//! settings.
+
+use proptest::prelude::*;
 
 use firesim_blade::{programs, BladeConfig, RtlBlade};
-use firesim_core::snapshot::{Checkpoint, SnapshotWriter};
+use firesim_core::snapshot::{Checkpoint, SnapshotReader, SnapshotWriter};
 use firesim_core::{Cycle, Frequency};
 use firesim_manager::{BladeSpec, SimConfig, Topology};
 use firesim_net::MacAddr;
+use firesim_reference::RefDram;
 use firesim_uarch::{Dram, DramConfig};
 
 /// Deterministic splitmix-style generator (same construction as the
@@ -54,6 +60,9 @@ enum Op {
     Access(u64, u64),
     /// `advance_to(cycle)` — a request-free time jump.
     Advance(u64),
+    /// Save both models and restore them into fresh instances: each into
+    /// its own kind, or with `cross`, each into the other kind.
+    SaveRestore { cross: bool },
 }
 
 /// A seeded random workload: mostly-monotone request times with
@@ -84,45 +93,129 @@ fn random_ops(seed: u64, n: usize, cfg: &DramConfig) -> Vec<Op> {
     ops
 }
 
-fn snapshot_dram(d: &Dram) -> Vec<u8> {
+fn snapshot(d: &dyn Checkpoint) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     d.save_state(&mut w).expect("dram snapshots");
     w.into_bytes()
 }
 
-/// Runs `ops` through both models in lockstep, comparing every returned
-/// latency, the statistics, and the snapshot bytes after every step.
-fn assert_models_agree(cfg: DramConfig, ops: &[Op], label: &str) {
-    let mut event = Dram::new(DramConfig {
-        reference_model: false,
-        ..cfg
-    });
-    let mut reference = Dram::new(DramConfig {
-        reference_model: true,
-        ..cfg
-    });
+/// A fresh `M` restored from `bytes`.
+fn restored<M: Checkpoint>(mut fresh: M, bytes: &[u8]) -> Result<M, String> {
+    fresh
+        .restore_state(&mut SnapshotReader::new(bytes))
+        .map_err(|e| format!("restore failed: {e}"))?;
+    Ok(fresh)
+}
+
+/// Runs `ops` through `Dram` and `RefDram` in lockstep, comparing every
+/// returned latency, the statistics, and the snapshot bytes after every
+/// step. `Err` names the first divergence.
+fn models_agree(cfg: DramConfig, ops: &[Op]) -> Result<(), String> {
+    let mut event = Dram::new(cfg);
+    let mut oracle = RefDram::new(cfg);
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Access(now, addr) => {
-                let le = event.access(now, addr);
-                let lr = reference.access(now, addr);
-                assert_eq!(le, lr, "{label}: latency diverged at op {i} ({op:?})");
+                let (le, lr) = (event.access(now, addr), oracle.access(now, addr));
+                if le != lr {
+                    return Err(format!("op {i} ({op:?}): completion {le} vs oracle {lr}"));
+                }
             }
             Op::Advance(cycle) => {
                 event.advance_to(cycle);
-                reference.advance_to(cycle);
+                oracle.advance_to(cycle);
+            }
+            Op::SaveRestore { cross } => {
+                let (be, br) = (snapshot(&event), snapshot(&oracle));
+                if cross {
+                    event = restored(Dram::new(cfg), &br)?;
+                    oracle = restored(RefDram::new(cfg), &be)?;
+                } else {
+                    event = restored(Dram::new(cfg), &be)?;
+                    oracle = restored(RefDram::new(cfg), &br)?;
+                }
             }
         }
-        assert_eq!(
-            event.stats(),
-            reference.stats(),
-            "{label}: stats diverged at op {i} ({op:?})"
-        );
-        assert_eq!(
-            snapshot_dram(&event),
-            snapshot_dram(&reference),
-            "{label}: snapshots diverged at op {i} ({op:?})"
-        );
+        if event.stats() != oracle.stats() {
+            return Err(format!(
+                "op {i} ({op:?}): stats {:?} vs oracle {:?}",
+                event.stats(),
+                oracle.stats()
+            ));
+        }
+        if snapshot(&event) != snapshot(&oracle) {
+            return Err(format!("op {i} ({op:?}): snapshots diverged"));
+        }
+    }
+    Ok(())
+}
+
+fn assert_models_agree(cfg: DramConfig, ops: &[Op], label: &str) {
+    if let Err(e) = models_agree(cfg, ops) {
+        panic!("{label}: {e}");
+    }
+}
+
+/// tREFI barely larger than tRFC: the busy windows dominate, most
+/// requests land inside or right after a refresh, and long gaps skip
+/// dozens of deadlines at once.
+fn refresh_heavy() -> DramConfig {
+    DramConfig {
+        t_refi: 500,
+        t_rfc: 180,
+        ..DramConfig::default()
+    }
+}
+
+/// Arbitrary call sequences for a model with refresh interval `t_refi`:
+/// request gaps from back-to-back to several deadlines, request times
+/// that sometimes step back, advances that sometimes step back (no-ops),
+/// any address, and save/restore round trips in both directions.
+fn arb_ops(t_refi: u64) -> impl Strategy<Value = Vec<Op>> {
+    let gap = prop_oneof![
+        0u64..64,
+        0u64..1_000,
+        (1u64..5).prop_map(move |k| k * t_refi),
+        0u64..3 * t_refi,
+    ];
+    let addr = prop_oneof![
+        (0u64..8).prop_map(|k| 0x100 + k * 8),
+        0u64..1 << 24,
+        any::<u64>(),
+    ];
+    proptest::collection::vec((0u8..12, gap, addr), 0..96).prop_map(move |steps| {
+        let mut now = 0u64;
+        steps
+            .into_iter()
+            .map(|(kind, gap, addr)| {
+                now += gap;
+                match kind {
+                    0 => Op::Advance(now + addr % (2 * t_refi)),
+                    1 => Op::Advance(now.saturating_sub(addr % t_refi)),
+                    2 => Op::SaveRestore { cross: false },
+                    3 => Op::SaveRestore { cross: true },
+                    4 => Op::Access(now.saturating_sub(addr % 1_000), addr),
+                    _ => Op::Access(now, addr),
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every return value, statistic and snapshot byte of `Dram` equals
+    /// the oracle's, for any call sequence on the default DDR3 timing.
+    #[test]
+    fn default_config_matches_oracle_on_any_sequence(ops in arb_ops(DramConfig::default().t_refi)) {
+        models_agree(DramConfig::default(), &ops).map_err(TestCaseError::fail)?;
+    }
+
+    /// The same on the refresh-heavy configuration.
+    #[test]
+    fn refresh_heavy_config_matches_oracle_on_any_sequence(ops in arb_ops(refresh_heavy().t_refi)) {
+        models_agree(refresh_heavy(), &ops).map_err(TestCaseError::fail)?;
     }
 }
 
@@ -135,16 +228,9 @@ fn random_streams_match_reference() {
     }
 }
 
-/// A refresh-heavy configuration (tREFI barely larger than tRFC) makes
-/// the busy windows dominate: most requests land inside or right after
-/// a refresh, and long gaps skip dozens of deadlines at once.
 #[test]
 fn refresh_heavy_configuration_matches_reference() {
-    let cfg = DramConfig {
-        t_refi: 500,
-        t_rfc: 180,
-        ..DramConfig::default()
-    };
+    let cfg = refresh_heavy();
     for seed in 10..=15 {
         let ops = random_ops(seed, 300, &cfg);
         assert_models_agree(cfg, &ops, &format!("refresh-heavy seed {seed}"));
@@ -152,7 +238,7 @@ fn refresh_heavy_configuration_matches_reference() {
 }
 
 /// Idle banks are exactly where the two implementations differ most:
-/// the reference walks every deadline into every bank while the event
+/// the oracle walks every deadline into every bank while the event
 /// model never visits the idle ones. Hammer one bank while the other
 /// seven sit idle across hundreds of deadlines, with `advance_to`
 /// jumps mixed in, then touch a cold bank at the end.
@@ -196,53 +282,50 @@ fn checkpoint_mid_refresh_cross_restores() {
     let (head, tail) = ops.split_at(150);
 
     let mut event = Dram::new(cfg);
-    let mut reference = Dram::new(DramConfig {
-        reference_model: true,
-        ..cfg
-    });
+    let mut oracle = RefDram::new(cfg);
     for op in head {
         match *op {
             Op::Access(now, addr) => {
                 event.access(now, addr);
-                reference.access(now, addr);
+                oracle.access(now, addr);
             }
             Op::Advance(c) => {
                 event.advance_to(c);
-                reference.advance_to(c);
+                oracle.advance_to(c);
             }
+            Op::SaveRestore { .. } => unreachable!("random_ops saves nothing"),
         }
     }
-    let snap = snapshot_dram(&event);
-    assert_eq!(snap, snapshot_dram(&reference), "mid-run snapshots differ");
+    let snap = snapshot(&event);
+    assert_eq!(snap, snapshot(&oracle), "mid-run snapshots differ");
 
-    // Restore the event-model snapshot into a reference-model instance
-    // and vice versa; all four must then agree on the tail.
-    let mut from_event_into_ref = Dram::new(DramConfig {
-        reference_model: true,
-        ..cfg
-    });
-    let mut from_ref_into_event = Dram::new(cfg);
-    from_event_into_ref
-        .restore_state(&mut firesim_core::snapshot::SnapshotReader::new(&snap))
-        .expect("cross-restore into reference");
-    from_ref_into_event
-        .restore_state(&mut firesim_core::snapshot::SnapshotReader::new(&snap))
-        .expect("cross-restore into event");
-
-    let mut drams = [event, reference, from_event_into_ref, from_ref_into_event];
+    // Restore the event-model snapshot into the oracle and the oracle's
+    // into the event model; all four must then agree on the tail.
+    let from_oracle = restored(Dram::new(cfg), &snapshot(&oracle)).expect("restore into event");
+    let from_event = restored(RefDram::new(cfg), &snap).expect("restore into oracle");
+    let mut events = [event, from_oracle];
+    let mut oracles = [oracle, from_event];
     for (i, op) in tail.iter().enumerate() {
         match *op {
             Op::Access(now, addr) => {
-                let lats: Vec<u64> = drams.iter_mut().map(|d| d.access(now, addr)).collect();
+                let lats: Vec<u64> = (events.iter_mut().map(|d| d.access(now, addr)))
+                    .chain(oracles.iter_mut().map(|d| d.access(now, addr)))
+                    .collect();
                 assert!(
                     lats.windows(2).all(|w| w[0] == w[1]),
                     "tail op {i}: latencies diverged: {lats:?}"
                 );
             }
-            Op::Advance(c) => drams.iter_mut().for_each(|d| d.advance_to(c)),
+            Op::Advance(c) => {
+                events.iter_mut().for_each(|d| d.advance_to(c));
+                oracles.iter_mut().for_each(|d| d.advance_to(c));
+            }
+            Op::SaveRestore { .. } => unreachable!("random_ops saves nothing"),
         }
     }
-    let final_snaps: Vec<Vec<u8>> = drams.iter().map(snapshot_dram).collect();
+    let final_snaps: Vec<Vec<u8>> = (events.iter().map(|d| snapshot(d)))
+        .chain(oracles.iter().map(|d| snapshot(d)))
+        .collect();
     assert!(
         final_snaps.windows(2).all(|w| w[0] == w[1]),
         "final snapshots diverged after cross-restore"
@@ -253,17 +336,12 @@ fn checkpoint_mid_refresh_cross_restores() {
 // Blade level
 // ---------------------------------------------------------------------------
 
-/// Builds the 2-node ping cluster with the given host/model knobs.
-fn build_ping_cluster(
-    host_threads: usize,
-    dram_reference: bool,
-    decode_cache: bool,
-) -> firesim_manager::Simulation {
+/// Builds the 2-node ping cluster with the given host knobs.
+fn build_ping_cluster(host_threads: usize, decode_cache: bool) -> firesim_manager::Simulation {
     let clock = Frequency::GHZ_3_2;
     let pings = 3;
     let blade_config = || {
         let mut c = BladeConfig::single_core().with_dram_bytes(1 << 20);
-        c.mem.dram.reference_model = dram_reference;
         c.timing.decode_cache = decode_cache;
         c
     };
@@ -303,12 +381,8 @@ fn build_ping_cluster(
 
 /// Runs the cluster to completion and returns `(deterministic
 /// aggregates, full checkpoint bytes)`.
-fn run_ping_cluster(
-    host_threads: usize,
-    dram_reference: bool,
-    decode_cache: bool,
-) -> (String, Vec<u8>) {
-    let mut sim = build_ping_cluster(host_threads, dram_reference, decode_cache);
+fn run_ping_cluster(host_threads: usize, decode_cache: bool) -> (String, Vec<u8>) {
+    let mut sim = build_ping_cluster(host_threads, decode_cache);
     sim.run_until_done(Cycle::new(400_000_000)).expect("runs");
     let aggregates = sim
         .run_report(std::time::Duration::ZERO)
@@ -317,33 +391,28 @@ fn run_ping_cluster(
     (aggregates, bytes)
 }
 
-/// The tentpole acceptance check: the event-queue DRAM produces
-/// byte-identical checkpoints to the reference model, across 1/2/4
-/// worker threads and with the decode cache on or off.
+/// A full RTL cluster produces byte-identical checkpoints across 1/2/4
+/// worker threads and with the decode cache on or off. (The DRAM model
+/// itself is held to its oracle by the property tests above.)
 #[test]
-fn blade_digest_identical_across_dram_models_and_workers() {
-    let (base_agg, base_bytes) = run_ping_cluster(1, false, true);
+fn blade_digest_identical_across_workers() {
+    let (base_agg, base_bytes) = run_ping_cluster(1, true);
     assert!(base_agg.contains("pinger"));
-    for host_threads in [1, 2, 4] {
-        for dram_reference in [false, true] {
-            if host_threads == 1 && !dram_reference {
-                continue; // the baseline itself
-            }
-            let (agg, bytes) = run_ping_cluster(host_threads, dram_reference, true);
-            assert_eq!(
-                agg, base_agg,
-                "aggregates diverged (threads {host_threads}, reference {dram_reference})"
-            );
-            assert_eq!(
-                bytes, base_bytes,
-                "checkpoint bytes diverged (threads {host_threads}, reference {dram_reference})"
-            );
-        }
+    for host_threads in [2, 4] {
+        let (agg, bytes) = run_ping_cluster(host_threads, true);
+        assert_eq!(
+            agg, base_agg,
+            "aggregates diverged (threads {host_threads})"
+        );
+        assert_eq!(
+            bytes, base_bytes,
+            "checkpoint bytes diverged (threads {host_threads})"
+        );
     }
     // Decode cache off: a host-only knob — target aggregates and
     // checkpoint bytes both stay identical (the decode cache is not
     // target state and is not serialised).
-    let (agg, bytes) = run_ping_cluster(1, false, false);
+    let (agg, bytes) = run_ping_cluster(1, false);
     assert_eq!(agg, base_agg, "decode cache changed target aggregates");
     assert_eq!(bytes, base_bytes, "decode cache changed checkpoint bytes");
 }
