@@ -159,16 +159,7 @@ fn fig6(store: &mut ResultStore) {
 
 fn fig7(store: &mut ResultStore) {
     header("Fig 7: memcached thread imbalance (1 server x 4 cores, 7 mutilate nodes)");
-    let (qps, reqs): (Vec<f64>, u64) = if full_scale() {
-        (
-            vec![
-                50_000.0, 150_000.0, 250_000.0, 350_000.0, 450_000.0, 550_000.0,
-            ],
-            2_000,
-        )
-    } else {
-        (vec![100_000.0, 250_000.0, 350_000.0], 400)
-    };
+    let (qps, reqs) = exp::fig7_scale(full_scale());
     let rows = exp::fig7_memcached(&qps, reqs);
     let mut rec = ExperimentRecord::new("fig7");
     println!(
@@ -320,7 +311,7 @@ fn plan(store: &mut ResultStore) {
 
 fn table3(store: &mut ResultStore) {
     header("Table III: memcached across the datacenter (half servers, half loadgens)");
-    let (scale, reqs) = if full_scale() { (1, 1_000) } else { (8, 150) };
+    let (scale, reqs) = exp::table3_scale(full_scale());
     let rows = exp::table3_memcached(scale, reqs);
     let mut rec = ExperimentRecord::new("table3");
     rec.param("scale_divisor", scale as u64);

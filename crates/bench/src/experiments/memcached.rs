@@ -230,6 +230,21 @@ enum PairHops {
     CrossAgg,
 }
 
+/// `repro fig7`'s sweep: the target QPS points and the requests each
+/// client sends, at paper scale (`full`) or at the default scale.
+pub fn fig7_scale(full: bool) -> (Vec<f64>, u64) {
+    if full {
+        (
+            vec![
+                50_000.0, 150_000.0, 250_000.0, 350_000.0, 450_000.0, 550_000.0,
+            ],
+            2_000,
+        )
+    } else {
+        (vec![100_000.0, 250_000.0, 350_000.0], 400)
+    }
+}
+
 /// Fig 7: one memcached server (4 cores) under load from seven mutilate
 /// nodes through a ToR switch, swept over target QPS for the three
 /// thread configurations. Expect the 5-thread p95 to blow up while p50
@@ -276,6 +291,16 @@ pub struct Table3Row {
     pub p95_us: f64,
     /// Aggregate queries per second across all pairs.
     pub aggregate_qps: f64,
+}
+
+/// `repro table3`'s scale: the node-count divisor and the requests each
+/// client sends, at paper scale (`full`) or at the default scale.
+pub fn table3_scale(full: bool) -> (usize, u64) {
+    if full {
+        (1, 1_000)
+    } else {
+        (8, 150)
+    }
 }
 
 /// Table III: half the nodes run memcached servers and half run mutilate
@@ -328,7 +353,81 @@ pub fn table3_memcached(scale: usize, requests_per_client: u64) -> Vec<Table3Row
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use serde_json::Value;
+
     use super::*;
+
+    /// The exact Fig 7 and Table III rows: `reduced` at the scale of the
+    /// two shape tests below (tier-1), `default` at `repro`'s default
+    /// scale (`default_scale_rows_match_golden`, run in release by CI).
+    /// Values are written in their shortest round-trip form, so equal JSON
+    /// numbers are equal `f64` bits.
+    const GOLDEN: &str = include_str!("../../../../results/paper_golden.json");
+
+    fn row<const N: usize>(fields: [(&str, Value); N]) -> Value {
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect::<BTreeMap<_, _>>(),
+        )
+    }
+
+    fn fig7_json(rows: &[Fig7Row]) -> Value {
+        let rows = rows.iter().map(|r| {
+            row([
+                ("case", Value::from(r.case)),
+                ("target_qps", Value::from(r.target_qps)),
+                ("achieved_qps", Value::from(r.achieved_qps)),
+                ("p50_us", Value::from(r.p50_us)),
+                ("p95_us", Value::from(r.p95_us)),
+            ])
+        });
+        Value::Array(rows.collect())
+    }
+
+    fn table3_json(rows: &[Table3Row]) -> Value {
+        let rows = rows.iter().map(|r| {
+            row([
+                ("config", Value::from(r.config)),
+                ("p50_us", Value::from(r.p50_us)),
+                ("p95_us", Value::from(r.p95_us)),
+                ("aggregate_qps", Value::from(r.aggregate_qps)),
+            ])
+        });
+        Value::Array(rows.collect())
+    }
+
+    /// Fails unless `rows` equal the golden `scale`/`experiment` entry,
+    /// printing the fresh rows: a deliberate change pastes them over that
+    /// entry and names its cause in CHANGES.md.
+    fn assert_golden(scale: &str, experiment: &str, rows: Value) {
+        let golden = serde_json::from_str(GOLDEN).expect("paper_golden.json parses");
+        let want = golden.get(scale).and_then(|s| s.get(experiment));
+        assert!(
+            want == Some(&rows),
+            "{experiment} rows at {scale} scale differ from results/paper_golden.json; \
+             they are now:\n{}",
+            rows.to_string_pretty()
+        );
+    }
+
+    /// `repro fig7` and `repro table3` at their default scale produce the
+    /// golden rows. About 2 s in release, over 20 s in a debug build.
+    #[test]
+    #[ignore = "default scale; CI runs it in release"]
+    fn default_scale_rows_match_golden() {
+        let (qps, reqs) = fig7_scale(false);
+        assert_golden("default", "fig7", fig7_json(&fig7_memcached(&qps, reqs)));
+        let (scale, reqs) = table3_scale(false);
+        assert_golden(
+            "default",
+            "table3",
+            table3_json(&table3_memcached(scale, reqs)),
+        );
+    }
 
     #[test]
     fn fig7_thread_imbalance_inflates_tail() {
@@ -336,6 +435,7 @@ mod tests {
         // paper's phenomenon is clean: the extra thread inflates the tail
         // but not the median, and pinning gives the lowest tail.
         let rows = fig7_memcached(&[350_000.0], 300);
+        assert_golden("reduced", "fig7", fig7_json(&rows));
         let p95 = |label: &str| {
             rows.iter()
                 .find(|r| r.case == label)
@@ -376,6 +476,7 @@ mod tests {
     #[test]
     fn table3_latency_rises_with_hops() {
         let rows = table3_memcached(16, 60);
+        assert_golden("reduced", "table3", table3_json(&rows));
         assert_eq!(rows.len(), 3);
         // p50 grows by roughly 4 x link latency + switching per level.
         assert!(rows[1].p50_us > rows[0].p50_us + 4.0, "{rows:?}");

@@ -5,7 +5,9 @@ mod net_validation;
 mod perf;
 mod pfa;
 
-pub use memcached::{fig7_memcached, table3_memcached, Fig7Row, Table3Row};
+pub use memcached::{
+    fig7_memcached, fig7_scale, table3_memcached, table3_scale, Fig7Row, Table3Row,
+};
 pub use net_validation::{
     baremetal_bandwidth, fig5_ping, fig6_saturation, iperf, BandwidthResult, Fig5Row, Fig6Series,
 };
