@@ -281,6 +281,12 @@ impl OsModel {
     /// `(end_cycle, tag)` via `completed` (with `now` the cycle at the
     /// start of the step).
     fn advance_by(&mut self, now: u64, dt: u64, completed: &mut Vec<(u64, u64)>) {
+        // An idle node, no core running and every run queue empty, has
+        // nothing to dispatch or steal: the loops below would change no
+        // state and draw no random number.
+        if self.running.iter().all(Option::is_none) && self.runq.iter().all(VecDeque::is_empty) {
+            return;
+        }
         // Breadth-first dispatch (including idle stealing) before any core
         // consumes time, so queued work spreads across idle cores the way
         // it would in a continuously scheduled system.
@@ -902,6 +908,40 @@ mod tests {
         os.advance_by(0, 2_000, &mut completed);
         // Serialised on the pinned core.
         assert_eq!(completed, vec![(500, 1), (1_000, 2)]);
+    }
+
+    fn os_bytes(os: &OsModel) -> Vec<u8> {
+        let mut w = firesim_core::snapshot::SnapshotWriter::new();
+        firesim_core::snapshot::Checkpoint::save_state(os, &mut w).unwrap();
+        w.into_bytes()
+    }
+
+    /// Advancing an idle OS model, fresh or drained after work, changes
+    /// none of its state and draws nothing from its random stream.
+    #[test]
+    fn idle_advance_changes_nothing() {
+        let cfg = OsConfig {
+            cores: 4,
+            misplace_prob: 0.5,
+            ..OsConfig::default()
+        };
+        let mut fresh = OsModel::new(cfg, 5, false);
+        let mut drained = OsModel::new(cfg, 5, false);
+        let mut completed = Vec::new();
+        for t in 0..5 {
+            drained.enqueue(t, 1_000 + t as u64, t as u64);
+        }
+        drained.advance_by(0, 1_000_000, &mut completed);
+        assert_eq!(completed.len(), 5, "{completed:?}");
+        for os in [&mut fresh, &mut drained] {
+            let before = os_bytes(os);
+            let rng = os.rng.clone();
+            completed.clear();
+            os.advance_by(2_000_000, 6_400, &mut completed);
+            assert!(completed.is_empty());
+            assert_eq!(os_bytes(os), before);
+            assert_eq!(os.rng, rng);
+        }
     }
 
     #[test]

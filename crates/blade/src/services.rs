@@ -56,8 +56,8 @@ fn put_sorted_map<V>(
 /// Serialises a latency histogram as its raw samples; the restored
 /// histogram keeps its name and re-records them in order.
 fn put_histogram(w: &mut SnapshotWriter, h: &Histogram) {
-    w.put_usize(h.samples().len());
-    for &s in h.samples() {
+    w.put_usize(h.count());
+    for s in h.samples() {
         w.put_u64(s);
     }
 }
@@ -876,7 +876,7 @@ mod tests {
         assert_eq!(server2.pending, server.pending);
         let (s1, s2) = (client.stats(), client2.stats());
         assert_eq!(s1.lock().sent, s2.lock().sent);
-        assert_eq!(s1.lock().latency.samples(), s2.lock().latency.samples());
+        assert!(s1.lock().latency.samples().eq(s2.lock().latency.samples()));
     }
 
     #[test]

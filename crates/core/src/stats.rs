@@ -71,8 +71,11 @@ impl fmt::Display for Counter {
 
 /// A sample reservoir with exact percentiles.
 ///
-/// Stores every sample (the experiments here collect at most a few hundred
-/// thousand), sorts lazily on query.
+/// Stores every sample, sorts lazily on query. Samples are kept 4 bytes
+/// wide while every one fits in 32 bits (latencies in cycles do) and
+/// widened to 8 bytes by the first that does not, so a long run's load
+/// generators hold half the memory; what every method returns, and the
+/// snapshot bytes, are the same either way.
 ///
 /// # Examples
 ///
@@ -91,16 +94,132 @@ impl fmt::Display for Counter {
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     name: String,
-    samples: Vec<u64>,
+    samples: Samples,
     sorted: bool,
 }
+
+/// Samples per block of a narrow reservoir: 1 KiB.
+const BLOCK: usize = 256;
+
+/// A histogram's samples, in insertion order until sorted.
+#[derive(Debug, Clone)]
+enum Samples {
+    /// Every sample so far fits in 32 bits. Kept in blocks of [`BLOCK`],
+    /// each allocated at full size once, so growing copies and frees
+    /// nothing: a long run's load generators, one reservoir each, grow
+    /// together without leaving the heap full of outgrown buffers.
+    Narrow(Vec<Vec<u32>>),
+    Wide(Vec<u64>),
+}
+
+impl Default for Samples {
+    fn default() -> Self {
+        Samples::Narrow(Vec::new())
+    }
+}
+
+impl Samples {
+    fn len(&self) -> usize {
+        match self {
+            Samples::Narrow(blocks) => blocks
+                .last()
+                .map_or(0, |last| (blocks.len() - 1) * BLOCK + last.len()),
+            Samples::Wide(v) => v.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Samples::Narrow(blocks) => u64::from(blocks[i / BLOCK][i % BLOCK]),
+            Samples::Wide(v) => v[i],
+        }
+    }
+
+    fn iter(&self) -> SampleIter<'_> {
+        let (narrow, wide): (&[Vec<u32>], &[u64]) = match self {
+            Samples::Narrow(blocks) => (blocks, &[]),
+            Samples::Wide(v) => (&[], v),
+        };
+        SampleIter {
+            narrow: narrow.iter().flatten(),
+            wide: wide.iter(),
+            left: self.len(),
+        }
+    }
+
+    fn sort(&mut self) {
+        match self {
+            Samples::Narrow(blocks) => {
+                let mut all: Vec<u32> = blocks.iter().flatten().copied().collect();
+                all.sort_unstable();
+                for (block, sorted) in blocks.iter_mut().zip(all.chunks(BLOCK)) {
+                    block.copy_from_slice(sorted);
+                }
+            }
+            Samples::Wide(v) => v.sort_unstable(),
+        }
+    }
+
+    /// The 8-byte samples, converting the 4-byte ones first.
+    fn wide(&mut self) -> &mut Vec<u64> {
+        if let Samples::Narrow(_) = self {
+            *self = Samples::Wide(self.iter().collect());
+        }
+        match self {
+            Samples::Wide(v) => v,
+            Samples::Narrow(_) => unreachable!("just widened"),
+        }
+    }
+
+    fn push(&mut self, value: u64) {
+        match (self, u32::try_from(value)) {
+            (Samples::Narrow(blocks), Ok(narrow)) => match blocks.last_mut() {
+                Some(last) if last.len() < BLOCK => last.push(narrow),
+                _ => {
+                    let mut block = Vec::with_capacity(BLOCK);
+                    block.push(narrow);
+                    blocks.push(block);
+                }
+            },
+            (samples, _) => samples.wide().push(value),
+        }
+    }
+}
+
+/// The samples of a [`Histogram`] as `u64`s, in stored order.
+#[derive(Debug, Clone)]
+pub struct SampleIter<'a> {
+    narrow: core::iter::Flatten<core::slice::Iter<'a, Vec<u32>>>,
+    wide: core::slice::Iter<'a, u64>,
+    left: usize,
+}
+
+impl Iterator for SampleIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let next = match self.narrow.next() {
+            Some(&s) => Some(u64::from(s)),
+            None => self.wide.next().copied(),
+        };
+        self.left -= usize::from(next.is_some());
+        next
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for SampleIter<'_> {}
 
 impl Histogram {
     /// Creates an empty histogram with a diagnostic name.
     pub fn new(name: impl Into<String>) -> Self {
         Histogram {
             name: name.into(),
-            samples: Vec::new(),
+            samples: Samples::default(),
             sorted: true,
         }
     }
@@ -124,12 +243,12 @@ impl Histogram {
 
     /// True when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.samples.len() == 0
     }
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples.sort_unstable();
+            self.samples.sort();
             self.sorted = true;
         }
     }
@@ -137,7 +256,7 @@ impl Histogram {
     /// The `p`-th percentile (0-100) by linear interpolation between ranks,
     /// or `None` when empty.
     pub fn percentile(&mut self, p: f64) -> Option<u64> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
         self.ensure_sorted();
@@ -146,11 +265,11 @@ impl Histogram {
         let lo = rank.floor() as usize;
         let hi = rank.ceil() as usize;
         if lo == hi {
-            return Some(self.samples[lo]);
+            return Some(self.samples.get(lo));
         }
         let frac = rank - lo as f64;
-        let a = self.samples[lo] as f64;
-        let b = self.samples[hi] as f64;
+        let a = self.samples.get(lo) as f64;
+        let b = self.samples.get(hi) as f64;
         Some((a + (b - a) * frac).round() as u64)
     }
 
@@ -160,44 +279,46 @@ impl Histogram {
     /// actual sample, which matters for duplicate-heavy distributions.
     /// `None` when empty.
     pub fn percentile_nearest_rank(&mut self, p: f64) -> Option<u64> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
         self.ensure_sorted();
         let p = p.clamp(0.0, 100.0);
         let n = self.samples.len();
         let rank = (p / 100.0 * n as f64).ceil() as usize;
-        Some(self.samples[rank.clamp(1, n) - 1])
+        Some(self.samples.get(rank.clamp(1, n) - 1))
     }
 
     /// Smallest sample, or `None` when empty.
     pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
+        self.samples().min()
     }
 
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
+        self.samples().max()
     }
 
     /// Arithmetic mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        Some(self.samples.iter().map(|&v| v as f64).sum::<f64>() / self.samples.len() as f64)
+        Some(self.samples().map(|v| v as f64).sum::<f64>() / self.count() as f64)
     }
 
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
+        for s in other.samples() {
+            self.samples.push(s);
+        }
         self.sorted = false;
     }
 
     /// All samples in insertion order (unsorted view not guaranteed after a
     /// percentile query).
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
+    pub fn samples(&self) -> SampleIter<'_> {
+        self.samples.iter()
     }
 }
 
@@ -303,15 +424,26 @@ impl Snapshot for Counter {
 impl Snapshot for Histogram {
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_str(&self.name);
-        w.put(&self.samples);
+        // The `u64` sequence whatever the stored width, so the bytes do
+        // not depend on it.
+        w.put_usize(self.count());
+        for s in self.samples() {
+            w.put_u64(s);
+        }
         // Sample order is observable (percentile queries sort in place), so
         // the sorted flag is real state.
         w.put_bool(self.sorted);
     }
     fn load(r: &mut SnapshotReader<'_>) -> SimResult<Self> {
+        let name = r.get_str()?;
+        let wide: Vec<u64> = r.get()?;
+        let mut samples = Samples::default();
+        for s in wide {
+            samples.push(s);
+        }
         Ok(Histogram {
-            name: r.get_str()?,
-            samples: r.get()?,
+            name,
+            samples,
             sorted: r.get_bool()?,
         })
     }

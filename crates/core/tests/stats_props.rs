@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use firesim_core::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
 use firesim_core::stats::{Histogram, TimeSeries};
 use firesim_core::{Cycle, SimRng};
 
@@ -60,7 +61,105 @@ fn sorted_points(deltas: &[(u32, u16)]) -> Vec<(u64, f64)> {
         .collect()
 }
 
+/// Samples around the 32-bit boundary: small ones, `u32::MAX` and just
+/// above it, and large ones (below 2⁵², where the `f64` reference
+/// percentile is still exact).
+fn boundary_sample() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..1_000_000,
+        (0u64..4).prop_map(|d| u64::from(u32::MAX) + d),
+        0u64..1 << 52,
+    ]
+}
+
+/// The snapshot encoding a histogram had when it stored `Vec<u64>`: name,
+/// the sample sequence, the sorted flag.
+fn vec_u64_encoding(name: &str, samples: &Vec<u64>, sorted: bool) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.put_str(name);
+    w.put(samples);
+    w.put_bool(sorted);
+    w.into_bytes()
+}
+
+fn histogram_bytes(h: &Histogram) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    h.save(&mut w);
+    w.into_bytes()
+}
+
 proptest! {
+    /// A stream that crosses 32 bits part-way keeps every sample, in
+    /// order, and its percentiles match the reference before and after.
+    #[test]
+    fn widening_keeps_samples_and_percentiles(
+        narrow in proptest::collection::vec(0u64..=u64::from(u32::MAX), 0..100),
+        rest in proptest::collection::vec(boundary_sample(), 0..100),
+        ps in proptest::collection::vec(0u32..=1000, 1..6),
+    ) {
+        let mut h = Histogram::new("t");
+        let mut all = Vec::new();
+        for &s in narrow.iter().chain(&rest) {
+            h.record(s);
+            all.push(s);
+            prop_assert!(h.samples().eq(all.iter().copied()));
+        }
+        prop_assert_eq!(h.count(), all.len());
+        prop_assert_eq!(h.min(), all.iter().copied().min());
+        prop_assert_eq!(h.max(), all.iter().copied().max());
+        for &p in &ps {
+            let p = f64::from(p) / 10.0;
+            prop_assert_eq!(h.percentile(p), naive_interpolated(&all, p));
+            prop_assert_eq!(h.percentile_nearest_rank(p), naive_nearest_rank(&all, p));
+        }
+    }
+
+    /// Merging narrow into wide, wide into narrow and narrow into narrow
+    /// histograms concatenates the samples in order.
+    #[test]
+    fn merge_across_widths_concatenates(
+        a in proptest::collection::vec(boundary_sample(), 0..60),
+        b in proptest::collection::vec(boundary_sample(), 0..60),
+    ) {
+        let build = |samples: &[u64]| {
+            let mut h = Histogram::new("t");
+            for &s in samples {
+                h.record(s);
+            }
+            h
+        };
+        let mut ab = build(&a);
+        ab.merge(&build(&b));
+        prop_assert!(ab.samples().eq(a.iter().chain(&b).copied()));
+        let mut ba = build(&b);
+        ba.merge(&build(&a));
+        prop_assert!(ba.samples().eq(b.iter().chain(&a).copied()));
+    }
+
+    /// Snapshot bytes equal the `Vec<u64>` encoding at every width, sorted
+    /// or not, and load back to a histogram that saves the same bytes.
+    #[test]
+    fn snapshot_bytes_match_the_u64_encoding(
+        samples in proptest::collection::vec(boundary_sample(), 0..100),
+        query in any::<bool>(),
+    ) {
+        let mut h = Histogram::new("lat");
+        for &s in &samples {
+            h.record(s);
+        }
+        let mut stored = samples.clone();
+        if query {
+            h.percentile(50.0);
+            stored.sort_unstable();
+        }
+        let sorted = query || samples.is_empty();
+        let bytes = histogram_bytes(&h);
+        prop_assert_eq!(&bytes, &vec_u64_encoding("lat", &stored, sorted));
+        let back = Histogram::load(&mut SnapshotReader::new(&bytes)).unwrap();
+        prop_assert_eq!(histogram_bytes(&back), bytes);
+        prop_assert!(back.samples().eq(stored.iter().copied()));
+    }
+
     /// Percentiles are monotone in p and bounded by min/max.
     #[test]
     fn percentiles_monotone(samples in proptest::collection::vec(0u64..1_000_000, 1..300)) {
@@ -188,7 +287,7 @@ proptest! {
         let mut bc = build(&b);
         bc.merge(&build(&c));
         right.merge(&bc);
-        prop_assert_eq!(left.samples(), right.samples());
+        prop_assert!(left.samples().eq(right.samples()));
         if !left.is_empty() {
             for p in [0.0, 50.0, 95.0, 100.0] {
                 prop_assert_eq!(left.percentile(p), right.percentile(p));

@@ -70,7 +70,8 @@ pub struct RunReport {
     pub cycles: u64,
     /// Host wall-clock nanoseconds for the run.
     pub wall_ns: u64,
-    /// Host worker threads configured.
+    /// Host worker threads the run used: the configured count clamped to
+    /// the host's cores and the agent count ([`Engine::host_threads`]).
     pub host_threads: usize,
     /// Achieved simulation rate in target-MHz.
     pub sim_rate_mhz: f64,
@@ -612,24 +613,12 @@ impl RunReport {
                 .map(str::to_owned)
                 .ok_or_else(|| serde_json::Error::custom(format!("missing string field `{key}`")))
         };
-        let get_array = |obj: &BTreeMap<String, Value>, key: &str| match obj.get(key) {
-            Some(Value::Array(a)) => Ok(a.clone()),
-            Some(_) => Err(serde_json::Error::custom(format!(
-                "`{key}` must be an array"
-            ))),
-            None => Ok(Vec::new()),
-        };
-        let obj_of = |v: &Value| {
-            v.as_object()
-                .cloned()
-                .ok_or_else(|| serde_json::Error::custom("expected a JSON object"))
-        };
         let counters_of = |obj: &BTreeMap<String, Value>, key: &str| {
             get_array(obj, key)?
                 .iter()
                 .map(|c| {
                     let c = obj_of(c)?;
-                    Ok((get_str(&c, "name")?, get_u64(&c, "value")?))
+                    Ok((get_str(c, "name")?, get_u64(c, "value")?))
                 })
                 .collect::<Result<Vec<_>, serde_json::Error>>()
         };
@@ -639,15 +628,15 @@ impl RunReport {
             .map(|a| {
                 let a = obj_of(a)?;
                 Ok(AgentReport {
-                    name: get_str(&a, "name")?,
-                    rounds: get_u64(&a, "rounds")?,
-                    target_cycles: get_u64(&a, "target_cycles")?,
-                    windows_in: get_u64(&a, "windows_in")?,
-                    tokens_in: get_u64(&a, "tokens_in")?,
-                    windows_out: get_u64(&a, "windows_out")?,
-                    tokens_out: get_u64(&a, "tokens_out")?,
-                    host_ns: get_u64(&a, "host_ns")?,
-                    counters: counters_of(&a, "counters")?,
+                    name: get_str(a, "name")?,
+                    rounds: get_u64(a, "rounds")?,
+                    target_cycles: get_u64(a, "target_cycles")?,
+                    windows_in: get_u64(a, "windows_in")?,
+                    tokens_in: get_u64(a, "tokens_in")?,
+                    windows_out: get_u64(a, "windows_out")?,
+                    tokens_out: get_u64(a, "tokens_out")?,
+                    host_ns: get_u64(a, "host_ns")?,
+                    counters: counters_of(a, "counters")?,
                 })
             })
             .collect::<Result<Vec<_>, serde_json::Error>>()?;
@@ -656,10 +645,10 @@ impl RunReport {
             .map(|l| {
                 let l = obj_of(l)?;
                 Ok(LinkOccupancy {
-                    agent: get_str(&l, "agent")?,
-                    port: get_u64(&l, "port")? as usize,
-                    latency: get_u64(&l, "latency")?,
-                    in_flight_tokens: get_u64(&l, "in_flight_tokens")?,
+                    agent: get_str(l, "agent")?,
+                    port: get_u64(l, "port")? as usize,
+                    latency: get_u64(l, "latency")?,
+                    in_flight_tokens: get_u64(l, "in_flight_tokens")?,
                 })
             })
             .collect::<Result<Vec<_>, serde_json::Error>>()?;
@@ -668,12 +657,12 @@ impl RunReport {
             .map(|h| {
                 let h = obj_of(h)?;
                 Ok(HistogramSummary {
-                    name: get_str(&h, "name")?,
-                    count: get_u64(&h, "count")?,
-                    min: get_u64(&h, "min")?,
-                    max: get_u64(&h, "max")?,
-                    p50: get_u64(&h, "p50")?,
-                    p99: get_u64(&h, "p99")?,
+                    name: get_str(h, "name")?,
+                    count: get_u64(h, "count")?,
+                    min: get_u64(h, "min")?,
+                    max: get_u64(h, "max")?,
+                    p50: get_u64(h, "p50")?,
+                    p99: get_u64(h, "p99")?,
                 })
             })
             .collect::<Result<Vec<_>, serde_json::Error>>()?;
@@ -681,27 +670,27 @@ impl RunReport {
             None => None,
             Some(v) => {
                 let t = obj_of(v)?;
-                let points = get_array(&t, "points")?
+                let points = get_array(t, "points")?
                     .iter()
                     .map(|p| {
                         let p = obj_of(p)?;
                         Ok(TimelinePoint {
-                            start: get_u64(&p, "start")?,
-                            delivered: get_u64(&p, "delivered")?,
-                            dropped: get_u64(&p, "dropped")?,
-                            masked: get_u64(&p, "masked")?,
+                            start: get_u64(p, "start")?,
+                            delivered: get_u64(p, "delivered")?,
+                            dropped: get_u64(p, "dropped")?,
+                            masked: get_u64(p, "masked")?,
                         })
                     })
                     .collect::<Result<Vec<_>, serde_json::Error>>()?;
-                let events = get_array(&t, "events")?
+                let events = get_array(t, "events")?
                     .iter()
                     .map(|e| {
                         let e = obj_of(e)?;
-                        Ok((get_u64(&e, "cycle")?, get_str(&e, "label")?))
+                        Ok((get_u64(e, "cycle")?, get_str(e, "label")?))
                     })
                     .collect::<Result<Vec<_>, serde_json::Error>>()?;
                 Some(RecoveryTimeline {
-                    interval: get_u64(&t, "interval")?,
+                    interval: get_u64(t, "interval")?,
                     points,
                     events,
                 })
@@ -726,14 +715,14 @@ impl RunReport {
             Some(v) => {
                 let c = obj_of(v)?;
                 Some(CostEstimate {
-                    hosts_used: get_u64(&c, "hosts_used")? as usize,
-                    fleet_per_hour: get_f64(&c, "fleet_per_hour")?,
-                    cut_links: get_u64(&c, "cut_links")? as usize,
-                    sim_rate_hz: get_f64(&c, "sim_rate_hz")?,
-                    target_hz: get_f64(&c, "target_hz")?,
-                    slowdown: get_f64(&c, "slowdown")?,
-                    dollars_per_sim_hour: get_f64(&c, "dollars_per_sim_hour")?,
-                    bottleneck: get_str(&c, "bottleneck")?,
+                    hosts_used: get_u64(c, "hosts_used")? as usize,
+                    fleet_per_hour: get_f64(c, "fleet_per_hour")?,
+                    cut_links: get_u64(c, "cut_links")? as usize,
+                    sim_rate_hz: get_f64(c, "sim_rate_hz")?,
+                    target_hz: get_f64(c, "target_hz")?,
+                    slowdown: get_f64(c, "slowdown")?,
+                    dollars_per_sim_hour: get_f64(c, "dollars_per_sim_hour")?,
+                    bottleneck: get_str(c, "bottleneck")?,
                 })
             }
         };
@@ -756,6 +745,26 @@ impl RunReport {
             cost,
         })
     }
+}
+
+/// The array at `key` of `obj`, borrowed; empty when the key is absent.
+fn get_array<'a>(
+    obj: &'a BTreeMap<String, Value>,
+    key: &str,
+) -> Result<&'a [Value], serde_json::Error> {
+    match obj.get(key) {
+        Some(Value::Array(a)) => Ok(a),
+        Some(_) => Err(serde_json::Error::custom(format!(
+            "`{key}` must be an array"
+        ))),
+        None => Ok(&[]),
+    }
+}
+
+/// `v` as a JSON object, borrowed.
+fn obj_of(v: &Value) -> Result<&BTreeMap<String, Value>, serde_json::Error> {
+    v.as_object()
+        .ok_or_else(|| serde_json::Error::custom("expected a JSON object"))
 }
 
 #[cfg(test)]
@@ -793,6 +802,33 @@ mod tests {
         let id = engine.add_agent(Box::new(Echo));
         engine.connect(id, 0, id, 0, Cycle::new(8)).unwrap();
         engine
+    }
+
+    /// Eight threads asked of a three-agent ring run on at most three
+    /// (fewer on a smaller host), and the report says how many ran.
+    #[test]
+    fn report_shows_the_threads_the_run_used() {
+        let mut engine: Engine<u8> = Engine::new(4);
+        let ids: Vec<_> = (0..3).map(|_| engine.add_agent(Box::new(Echo))).collect();
+        for i in 0..3 {
+            engine
+                .connect(ids[i], 0, ids[(i + 1) % 3], 0, Cycle::new(8))
+                .unwrap();
+        }
+        engine.set_host_threads(8);
+        let summary = engine.run_for(Cycle::new(32)).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let used = 8.min(cores).min(3);
+        assert_eq!(summary.host_threads, used);
+        let report = RunReport::collect(&engine, Duration::from_millis(1));
+        assert_eq!(report.host_threads, used);
+        assert!(
+            report
+                .human_summary()
+                .contains(&format!("on {used} thread(s)")),
+            "{}",
+            report.human_summary()
+        );
     }
 
     #[test]

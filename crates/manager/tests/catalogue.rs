@@ -52,6 +52,19 @@ fn direct_digests_equal_checkpoint_digests() {
     }
 }
 
+/// The paper's datacenter on two engine workers: the packer keeps each
+/// rack's ToR with its blades, so at most 2 % of the links cross workers.
+#[test]
+fn datacenter_on_two_workers_cuts_few_links() {
+    let (topo, config) = catalogue::build("datacenter").expect("entry builds");
+    let mut sim = topo.build(config).expect("deploys");
+    let engine = sim.engine_mut();
+    let links = engine.link_occupancies().len();
+    assert_eq!(links, 2 * (1024 + 32 + 4));
+    let cut = engine.cut_links(2);
+    assert!(cut * 50 <= links, "{cut} of {links} links cut");
+}
+
 #[test]
 fn paper_datacenter_spec_round_trips() {
     let (topo, _) = catalogue::build(&Dims::PAPER.spec()).expect("paper dims build");

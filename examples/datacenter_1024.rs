@@ -278,6 +278,14 @@ fn main() {
         })
         .expect("valid topology");
     println!("\n{}", sim.plan());
+    let engine = sim.engine_mut();
+    let workers = engine.host_threads();
+    println!(
+        "engine: {} agents on {workers} worker(s); {} of {} links cross workers",
+        engine.agent_count(),
+        engine.cut_links(workers),
+        engine.link_occupancies().len(),
+    );
 
     let start = std::time::Instant::now();
     let summary = sim
