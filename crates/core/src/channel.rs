@@ -294,6 +294,12 @@ impl<T> LinkSender<T> {
         self.window
     }
 
+    /// Identifies the link: both of its ends return the same value, and
+    /// no other live link does.
+    pub(crate) fn link_id(&self) -> usize {
+        Arc::as_ptr(&self.shared) as usize
+    }
+
     /// The modeled link latency.
     pub fn latency(&self) -> Cycle {
         self.latency
@@ -384,6 +390,11 @@ impl<T> LinkReceiver<T> {
     /// The window length (cycles) this link exchanges.
     pub fn window(&self) -> u32 {
         self.window
+    }
+
+    /// See [`LinkSender::link_id`].
+    pub(crate) fn link_id(&self) -> usize {
+        Arc::as_ptr(&self.shared) as usize
     }
 
     /// The modeled link latency.
